@@ -65,7 +65,7 @@ def bench_interpreter(workload_name: str) -> dict:
 
     start = time.perf_counter()
     fast = Machine(
-        module_fast, inputs=list(workload.inputs), fast_dispatch=True
+        module_fast, inputs=list(workload.inputs), jit=False
     ).run()
     fast_seconds = time.perf_counter() - start
 
@@ -123,7 +123,7 @@ def bench_jit(workload_name: str) -> dict:
     fast = Machine(
         compile_source(workload.source, workload.name),
         inputs=list(workload.inputs),
-        fast_dispatch=True,
+        jit=False,
     )
     start = time.perf_counter()
     fast_result = fast.run()

@@ -4,7 +4,8 @@
 Two checks, any failure exits nonzero:
 
 1. **Equivalence matrix** — every benchsuite workload runs under all
-   three engines (jit / predecoded / executor table) and every
+   four engine settings (jit / tiered default / predecoded / executor
+   table) and every
    ``ExecutionResult`` field must be bit-identical; a deopt sweep runs
    a recursive program under every step limit around interesting
    boundaries and demands the same.
@@ -44,7 +45,8 @@ int main() { print_int(fib(10)); return 0; }
 
 ENGINES = (
     ("jit", {"jit": True}),
-    ("fast", {"fast_dispatch": True}),
+    ("tiered", {}),
+    ("fast", {"jit": False}),
     ("slow", {"fast_dispatch": False}),
 )
 
@@ -60,13 +62,13 @@ def run_one(source, name, inputs, max_steps, engine_kwargs):
 
 
 def diff_engines(source, name, inputs=(), max_steps=None):
-    """Field-level mismatches of jit vs the two interpreter paths."""
+    """Field-level mismatches of jit vs the other engine settings."""
     results = {
         label: run_one(source, name, inputs, max_steps, kwargs)
         for label, kwargs in ENGINES
     }
     mismatches = []
-    for other in ("fast", "slow"):
+    for other in ("tiered", "fast", "slow"):
         for field in RESULT_FIELDS:
             a = getattr(results["jit"], field)
             b = getattr(results[other], field)
@@ -106,7 +108,7 @@ def perf_smoke(workload_name: str) -> dict:
     jit_result = jit_machine.run()
     jit_seconds = time.perf_counter() - start
 
-    fast_machine = Machine(module, inputs=list(workload.inputs))
+    fast_machine = Machine(module, inputs=list(workload.inputs), jit=False)
     start = time.perf_counter()
     fast_result = fast_machine.run()
     fast_seconds = time.perf_counter() - start

@@ -24,6 +24,10 @@ counts, which are deterministic and unaffected):
   serial: results are deterministic either way (each workload is
   self-contained), but serial keeps the harness dependency-free for
   debugging and profiling;
+* every run takes the Machine's default, tiered engine: predecoded
+  until the run has executed ``JIT_TIER_UP_STEPS`` steps, compiled
+  after (``jit=`` and ``fast_dispatch=`` override it per call; every
+  engine measures the same cycles);
 * every measurement records wall-clock per phase (compile / harden /
   execute) via :class:`repro.perf.PhaseTimer`; the suite aggregates
   them into :attr:`SuiteResults.phase_seconds`.
@@ -96,7 +100,7 @@ def run_baseline(
     opt_level: int = 0,
     module=None,
     fast_dispatch: bool = True,
-    jit: bool = False,
+    jit: Optional[bool] = None,
 ) -> RunMeasurement:
     """Execute the unhardened build (default stack protector on).
 
@@ -124,7 +128,7 @@ def run_hardened(
     entropy_seed: int = 0,
     scheduling_effects: bool = False,
     fast_dispatch: bool = True,
-    jit: bool = False,
+    jit: Optional[bool] = None,
 ) -> RunMeasurement:
     """Execute the hardened build under one randomness scheme."""
     source = make_source(scheme, DeterministicEntropy(entropy_seed))
@@ -164,7 +168,7 @@ def measure_workload(
     entropy_seed: int = 0,
     opt_level: int = 0,
     fast_dispatch: bool = True,
-    jit: bool = False,
+    jit: Optional[bool] = None,
 ) -> WorkloadMeasurement:
     """Baseline + hardened measurements for one workload.
 
@@ -281,7 +285,7 @@ def measure_suite(
     entropy_seed: int = 0,
     jobs: int = 1,
     fast_dispatch: bool = True,
-    jit: bool = False,
+    jit: Optional[bool] = None,
 ) -> SuiteResults:
     """Run the full Figure 3/4 measurement campaign.
 

@@ -204,7 +204,9 @@ def check_program(
         # candidate down past main), not a VM divergence.
         verdict.compile_error = f"{type(exc).__name__}: {exc}"
         return verdict
-    reference = _run_machine(Machine(baseline_module, max_steps=max_steps))
+    reference = _run_machine(
+        Machine(baseline_module, max_steps=max_steps, jit=False)
+    )
     if not isinstance(reference, _HostException):
         verdict.outcome = reference.outcome
     else:

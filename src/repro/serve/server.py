@@ -284,16 +284,17 @@ class ReproServer:
         self._inflight += 1
         registry.gauge("serve_inflight").set(self._inflight)
         loop = asyncio.get_running_loop()
-        # Hold the concurrent future directly: cancellation semantics
-        # ("only if not yet started") live there, not on the asyncio
-        # wrapper wait_for cancels.
-        pool_future = self._pool.submit(handle_job, job)
+        error = None
         try:
+            # Hold the concurrent future directly: cancellation semantics
+            # ("only if not yet started") live there, not on the asyncio
+            # wrapper wait_for cancels.  submit() itself raises once the
+            # pool is broken, so it sits inside the try too.
+            pool_future = self._pool.submit(handle_job, job)
             out = await asyncio.wait_for(
                 asyncio.wrap_future(pool_future), timeout=timeout
             )
         except asyncio.TimeoutError:
-            self._inflight -= 1
             self.stats.timeouts_total += 1
             registry.counter("serve_timeouts_total", op=op).inc()
             # Cancel if not yet started; a job already running on a
@@ -308,30 +309,23 @@ class ReproServer:
                         pass  # loop already closed at shutdown
 
                 pool_future.add_done_callback(_on_late)
-            writer.write(
-                protocol.encode(
-                    protocol.error_response(
-                        request_id,
-                        "timeout",
-                        f"'{op}' exceeded {timeout:.3f}s deadline",
-                    )
-                )
+            error = protocol.error_response(
+                request_id, "timeout", f"'{op}' exceeded {timeout:.3f}s deadline"
             )
-            await writer.drain()
-            return
         except Exception as exc:  # noqa: BLE001 - pool/broken-process errors
-            self._inflight -= 1
             self._count_error("internal")
-            writer.write(
-                protocol.encode(
-                    protocol.error_response(
-                        request_id, "internal", f"{type(exc).__name__}: {exc}"
-                    )
-                )
+            error = protocol.error_response(
+                request_id,
+                "internal",
+                f"{type(exc).__name__}: {exc}",
+                retry_after=self.config.retry_after,
             )
+        finally:
+            self._inflight -= 1
+        if error is not None:
+            writer.write(protocol.encode(error))
             await writer.drain()
             return
-        self._inflight -= 1
         self.stats.worker_jobs_completed += 1
         delta = out.get("metrics")
         if delta:

@@ -48,11 +48,13 @@ from repro.vm.costs import CostModel
 from repro.vm.decode import Decoder, FellOffBlock
 from repro.vm.floatmath import float_to_int_operand, round_f32
 from repro.vm.jit import (
+    JIT_TIER_UP_STEPS,
     JitEngine,
     cache_lock,
     enter_jit_recursion,
     exit_jit_recursion,
     record_deopt,
+    record_tierup,
 )
 from repro.vm.memory import STACK_TOP, Memory
 from repro.vm.process import ProcessImage, install_missing_globals, load
@@ -240,12 +242,17 @@ class Machine:
         to the original executor-table interpreter; both paths produce
         bit-identical :class:`ExecutionResult` fields.
     jit:
-        Execute through the IR→Python JIT (:mod:`repro.vm.jit`):
-        functions are compiled, on first call, into Python closures
-        with per-block fused step/cycle accounting.  Bit-identical to
-        both interpreter paths; unsupported functions are interpreted
-        in place, and attaching a tracer deopts the whole run to the
-        observed interpreter paths.
+        When to run through the IR→Python JIT (:mod:`repro.vm.jit`),
+        which compiles functions into Python closures with per-block
+        fused step/cycle accounting.  ``None`` (the default) tiers: a
+        run starts predecoded and hands over to the JIT once it has
+        executed ``jit_tier_up_steps`` guest steps.  ``True`` compiles
+        every function at its first call; ``False`` never compiles.
+        Every choice is bit-identical to both interpreter paths;
+        unsupported functions are interpreted in place.  A traced
+        machine, and the default on ``fast_dispatch=False``, never
+        compiles (an explicit ``jit=True`` under a tracer deopts the
+        whole run to the observed interpreter paths).
     tracer:
         Optional observability sink (duck-typed; see
         :class:`repro.obs.trace.Tracer`).  Receives call/return events
@@ -273,7 +280,7 @@ class Machine:
         shadow_stack: bool = False,
         record_frames: bool = False,
         fast_dispatch: bool = True,
-        jit: bool = False,
+        jit: Optional[bool] = None,
         tracer=None,
     ):
         if isinstance(image_or_module, Module):
@@ -340,10 +347,13 @@ class Machine:
             # write-performing builtins; all mechanics live in obs.
             tracer.attach(self)
         self.fast_dispatch = fast_dispatch
-        self.jit = jit
+        #: truthy when untraced runs compile (eagerly or after tier-up)
+        self.jit = (fast_dispatch and tracer is None) if jit is None else jit
+        #: guest steps a run executes predecoded before it tiers up
+        self.jit_tier_up_steps = JIT_TIER_UP_STEPS if jit is None else 0
         # The JIT leans on the decoder for its deopt continuations, so a
         # jit machine always carries one even with fast_dispatch off.
-        self._decoder = Decoder(self) if (fast_dispatch or jit) else None
+        self._decoder = Decoder(self) if (fast_dispatch or self.jit) else None
         self._jit_engine: Optional[JitEngine] = None
 
     def _sync_module_version(self) -> None:
@@ -394,8 +404,8 @@ class Machine:
             else:
                 if self.jit:
                     # Observed runs carry per-event hooks compiled code
-                    # does not emit; the whole run deopts to the
-                    # decoded/slow paths, which trace natively.
+                    # does not emit; an explicit jit=True run deopts to
+                    # the decoded/slow paths, which trace natively.
                     record_deopt("tracer")
                 if self.fast_dispatch:
                     exit_value = self._execute_loop_fast()
@@ -657,35 +667,46 @@ class Machine:
             if executor is None:
                 raise VMError(f"no executor for {type(inst).__name__}")
             executor(frame, inst)
-        value = self._final_return
-        if value is None:
-            return 0
-        return int(value)
+        return self._exit_value()
 
     def _execute_loop_fast(self) -> Optional[int]:
-        """The predecoded fast path: one pre-bound closure per instruction.
+        """The predecoded engine: the whole run on :meth:`_interp`."""
+        self._final_return: Optional[object] = None
+        self._interp(0, self.max_steps)
+        return self._exit_value()
+
+    def _interp(self, depth: int, limit: int) -> bool:
+        """The predecoded loop: one pre-bound closure per instruction.
 
         Semantically identical to :meth:`_execute_loop`; the per-step
         executor lookup, cost computation and operand resolution have all
         been folded into the step closures by :class:`repro.vm.decode.Decoder`.
-        The step counter lives in a local and is synced back on every exit
-        path so ``run()`` (and fault results) still see an exact count.
+        Runs until the frame stack drops back to ``depth`` (returns
+        True) or the next step would pass ``limit`` (returns False with
+        that step not taken; at ``max_steps`` it raises the step-limit
+        error instead).  One loop serves the predecoded engine, the
+        tier-up point, the JIT's deopt continuation and its stepping to
+        the next block boundary.  The step counter lives in a local and
+        is synced back on every exit path so ``run()`` (and fault
+        results) still see an exact count.
         """
-        self._final_return: Optional[object] = None
         frames = self.frames
-        max_steps = self.max_steps
         steps = self._steps
         try:
-            while frames:
+            while len(frames) > depth:
                 frame = frames[-1]
                 index = frame.inst_index
                 frame.inst_index = index + 1
                 steps += 1
-                if steps > max_steps:
-                    raise VMLimitExceeded(
-                        f"step limit of {self.max_steps} exceeded "
-                        f"(runaway loop or corrupted counter)"
-                    )
+                if steps > limit:
+                    if steps > self.max_steps:
+                        raise VMLimitExceeded(
+                            f"step limit of {self.max_steps} exceeded "
+                            f"(runaway loop or corrupted counter)"
+                        )
+                    frame.inst_index = index
+                    steps -= 1
+                    return False
                 frame.code[index](frame)
         except FellOffBlock:
             # The sentinel fetch is not an executed instruction; undo its
@@ -698,20 +719,25 @@ class Machine:
             ) from None
         finally:
             self._steps = steps
-        value = self._final_return
-        if value is None:
-            return 0
-        return int(value)
+        return True
 
     def _execute_loop_jit(self) -> Optional[int]:
         """The JIT path: compiled function bodies, fused-block accounting.
 
-        Semantically identical to both interpreter loops (see
-        :mod:`repro.vm.jit`).  Guest calls become Python recursion, so
-        the interpreter's 4096-deep guest call limit needs Python
-        recursion headroom; the limit is restored on every exit path.
+        A tiered run first executes on :meth:`_interp` up to
+        ``jit_tier_up_steps``, folded into its step-limit compare; runs
+        that finish sooner never touch the JIT.  Semantically identical
+        to both interpreter loops (see :mod:`repro.vm.jit`).  Guest
+        calls become Python recursion, so the interpreter's 4096-deep
+        guest call limit needs Python recursion headroom; the limit is
+        restored on every exit path.
         """
         self._final_return: Optional[object] = None
+        tier_at = self.jit_tier_up_steps
+        if tier_at:
+            if self._interp(0, min(self.max_steps, tier_at)):
+                return self._exit_value()
+            record_tierup()
         engine = self._jit_engine
         if engine is None:
             engine = self._jit_engine = JitEngine(self)
@@ -721,9 +747,14 @@ class Machine:
         # traps — so nested or interleaved Machines cannot clobber it.
         enter_jit_recursion()
         try:
-            return engine.execute()
+            engine.execute()
         finally:
             exit_jit_recursion()
+        return self._exit_value()
+
+    def _exit_value(self) -> int:
+        value = self._final_return
+        return 0 if value is None else int(value)
 
     # -- value plumbing -------------------------------------------------------------------
 

@@ -8,11 +8,11 @@ straight-line run of a basic block: the block's step count and cycle
 units are compile-time constants, and its SSA dataflow maps directly
 onto Python local variables.
 
-This module therefore compiles each IR function — lazily, on first
-call — into Python *source*, ``compile()``\\ s it once per module
-version, and ``exec``\\ s it per machine to bind machine state
-(memory windows, global addresses, builtin handlers) into closure
-cells:
+This module therefore compiles each IR function — lazily, on its
+first call in a compiled run — into Python *source*, ``compile()``\\ s
+it once per module version, and ``exec``\\ s it per machine to bind
+machine state (memory windows, global addresses, builtin handlers) into
+closure cells:
 
 * every SSA value lives in a Python local (``v7``), never a dict;
 * each basic block is one fused run of statements: the step counter
@@ -34,6 +34,15 @@ whose precomputed (steps, units) over-charge is subtracted before the
 exception escapes.  The reference interpreter's charge-then-execute
 order is thereby reproduced exactly, including for faults inside
 callees several JIT frames deep.
+
+Tiering: an untraced run starts on the predecoded engine and tiers up
+after :data:`JIT_TIER_UP_STEPS` guest steps (``jit=True`` tiers up at
+step 0).  From then on every pushed frame runs its compiled body, and
+every frame already live enters compiled code at its next block
+boundary (*on-stack entry*): past the block's leading phis, before its
+charge — exactly the state a step-limit deopt leaves behind.  The body
+takes the block index and the block's live-in SSA values, read from
+``frame.env`` — the inverse of the deopt sync.
 
 Deopt rules (JIT where it's safe, interpret where it's observed):
 
@@ -62,11 +71,11 @@ import time
 from typing import Dict, List, Optional, Tuple
 from weakref import WeakKeyDictionary
 
-from repro.errors import IRError, VMError, VMFault, VMLimitExceeded, VMTrap
+from repro.errors import IRError, VMError, VMFault, VMTrap
 from repro.ir import instructions as ir
 from repro.ir.values import Constant, GlobalVariable, Value
 from repro.vm.costs import DYNAMIC_ALLOCA_UNITS
-from repro.vm.decode import FellOffBlock, _binop_impl, _cast_impl, _int_wrap
+from repro.vm.decode import _binop_impl, _cast_impl, _int_wrap
 from repro.vm.floatmath import round_f32
 from repro.vm.memory import DATA_BASE, HEAP_BASE
 
@@ -78,6 +87,13 @@ _U64 = (1 << 64) - 1
 #: harness.  CPython 3.11+ keeps pure-Python frames on the heap, so
 #: raising the limit this far is safe.
 JIT_RECURSION_LIMIT = 15_000
+
+#: Guest steps an untraced run executes on the predecoded engine before
+#: it hands over to the JIT (``Machine(jit=None)``, the default).  Short
+#: runs never pay a compile: attack-synthesis victims run a few hundred
+#: steps (393 at most across a fuzz campaign), while the paper-suite
+#: programs run 20k-980k steps and spend nearly all of them compiled.
+JIT_TIER_UP_STEPS = 5_000
 
 _MISSING = object()
 
@@ -148,6 +164,11 @@ def record_deopt(reason: str) -> None:
     _registry().counter("jit_deopts_total", reason=reason).inc()
 
 
+def record_tierup() -> None:
+    """Count one run handed from the predecoded engine to the JIT."""
+    _registry().counter("jit_tierups_total").inc()
+
+
 class _Deopt(Exception):
     """Control transfer: a compiled body hands its frame to the
     interpreter (state already synced into ``frame.env``)."""
@@ -174,9 +195,12 @@ class _FunctionMeta:
     """Machine-independent metadata shared by all bindings of one
     compiled function."""
 
-    __slots__ = ("function", "value_by_name", "value_items", "leading", "linemap")
+    __slots__ = (
+        "function", "value_by_name", "value_items", "leading", "linemap",
+        "block_index", "live_in",
+    )
 
-    def __init__(self, function, value_by_name, leading, linemap):
+    def __init__(self, function, value_by_name, leading, linemap, live_in):
         self.function = function
         #: mangled local name -> IR Value (for deopt sync and
         #: undefined-value diagnostics)
@@ -184,6 +208,13 @@ class _FunctionMeta:
         self.value_items = tuple(value_by_name.items())
         #: per-block leading phi count (the interpreter's resume index)
         self.leading: Tuple[int, ...] = leading
+        #: block -> its index in the body's dispatch loop
+        self.block_index = {
+            block: index for index, block in enumerate(function.blocks)
+        }
+        #: per-block SSA values live past the leading phis, in the order
+        #: the body's on-stack entry unpacks them
+        self.live_in: Tuple[Tuple[Value, ...], ...] = live_in
         #: source line -> (steps, cycle units) charged for instructions
         #: *after* that line's instruction; subtracted when an exception
         #: escapes through the line, restoring charge-then-execute
@@ -451,7 +482,7 @@ class _FunctionCompiler:
         for index, block in enumerate(function.blocks):
             self._emit_block(index, block)
 
-        return self._assemble()
+        return self._assemble(self._live_in())
 
     def _name_value(self, value: Value) -> str:
         name = f"v{len(self.value_by_name)}"
@@ -477,6 +508,75 @@ class _FunctionCompiler:
                 seen_non_phi = True
                 if inst.is_terminator and position != len(instructions) - 1:
                     raise _CompileUnsupported("midblock-terminator")
+
+    def _live_in(self) -> List[List[str]]:
+        """Per block, the locals live past its leading phis: what an
+        on-stack entry must load from ``frame.env``.  Parameters are
+        excluded (the prologue always loads them).
+
+        Backward dataflow to a fixpoint: a block's live set is its
+        upward-exposed uses plus whatever its successors need (their
+        live sets minus their phis, plus the phi incomings for this
+        edge) that the block does not define itself.
+        """
+        names = self.names
+        params = {id(param) for param in self.function.params}
+
+        def local(value):
+            key = id(value)
+            return None if key in params else names.get(key)
+
+        blocks = self.function.blocks
+        uses: List[set] = []
+        defs: List[set] = []
+        phi_defs: List[set] = []
+        edges: List[List[Tuple[int, set]]] = []
+        for block in blocks:
+            phis = self._leading_phis(block)
+            phi_defs.append({names[id(phi)] for phi in phis})
+            used, defined = set(), set()
+            terminator = None
+            for inst in block.instructions[len(phis):]:
+                for operand in inst.operands:
+                    name = local(operand)
+                    if name is not None and name not in defined:
+                        used.add(name)
+                if inst.has_result():
+                    defined.add(names[id(inst)])
+                terminator = inst
+            successors = []
+            if isinstance(terminator, ir.Br):
+                targets = (terminator.target,)
+            elif isinstance(terminator, ir.CondBr):
+                targets = (terminator.true_target, terminator.false_target)
+            else:
+                targets = ()
+            for target in targets:
+                incoming = set()
+                for phi in self._leading_phis(target):
+                    name = local(phi.incoming_for(block))
+                    if name is not None and name not in defined:
+                        incoming.add(name)
+                successors.append((self.block_index[id(target)], incoming))
+            uses.append(used)
+            defs.append(defined)
+            edges.append(successors)
+
+        live = [set(used) for used in uses]
+        changed = True
+        while changed:
+            changed = False
+            for index in range(len(blocks) - 1, -1, -1):
+                out = set()
+                for target, incoming in edges[index]:
+                    out |= live[target] - phi_defs[target]
+                    out |= incoming
+                grown = live[index] | (out - defs[index])
+                if len(grown) != len(live[index]):
+                    live[index] = grown
+                    changed = True
+        order = {name: position for position, name in enumerate(self.value_by_name)}
+        return [sorted(names_live, key=order.__getitem__) for names_live in live]
 
     def _leading_phis(self, block) -> List[ir.Phi]:
         phis = []
@@ -831,7 +931,7 @@ class _FunctionCompiler:
 
     # -- assembly -------------------------------------------------------------------
 
-    def _assemble(self) -> _CompiledFunction:
+    def _assemble(self, live_in: List[List[str]]) -> _CompiledFunction:
         function = self.function
         # Param loads may mint new const cells — build them before the
         # bind-name list so every referenced cell gets a NS line.
@@ -839,15 +939,25 @@ class _FunctionCompiler:
             f"        {self.names[id(param)]} = _env[{self._const_cell(param)}]"
             for param in function.params
         ]
+        # On-stack entry: ``_body(frame, k, values)`` starts at block k
+        # with its live-in locals unpacked from ``values``.
+        entry_lines = []
+        for index, live in enumerate(live_in):
+            if live:
+                keyword = "elif" if entry_lines else "if"
+                entry_lines.append(f"            {keyword} _b == {index}:")
+                entry_lines.append(f"                {', '.join(live)}, = _in")
+        if entry_lines:
+            entry_lines.insert(0, "        if _in:")
         names = list(_STD_CELLS) + [binding[0] for binding in self.bindings]
         header = ["def _bind(NS):"]
         header.extend(f"    {name} = NS['{name}']" for name in names)
-        header.append("    def _body(frame):")
+        header.append("    def _body(frame, _b=0, _in=()):")
         header.append("        _env = frame.env")
         header.append("        _aa = frame.alloca_addresses")
         header.append("        _maxs = _M.max_steps")
         header.extend(param_lines)
-        header.append("        _b = 0")
+        header.extend(entry_lines)
         header.append("        while 1:")
         offset = len(header)
         source_lines = header + self.lines + ["    return _body"]
@@ -860,8 +970,13 @@ class _FunctionCompiler:
         linemap = {
             offset + rel: over for rel, over in self.linemap_rel.items()
         }
+        value_by_name = self.value_by_name
         meta = _FunctionMeta(
-            function, self.value_by_name, tuple(self.leading), linemap
+            function, value_by_name, tuple(self.leading), linemap,
+            tuple(
+                tuple(value_by_name[name] for name in live)
+                for live in live_in
+            ),
         )
         return _CompiledFunction(
             module_code, tuple(self.bindings), meta, len(function.blocks)
@@ -966,19 +1081,11 @@ class JitEngine:
 
     # -- execution ------------------------------------------------------------------
 
-    def execute(self):
-        """Run the already-pushed entry frame to completion."""
-        machine = self.machine
+    def execute(self) -> None:
+        """Run every frame on the machine's stack to completion, each
+        entering compiled code at its next block boundary."""
         try:
-            frame = machine.frames[-1]
-            body = self.body_for(frame.function)
-            if body is None:
-                self._interp_until(0)
-            else:
-                try:
-                    body(frame)
-                except _Deopt:
-                    self._interp_until(0)
+            self._run_frames()
         except BaseException as exc:
             self._fix_accounting(exc.__traceback__)
             if isinstance(exc, UnboundLocalError):
@@ -986,8 +1093,51 @@ class JitEngine:
                 if translated is not None:
                     raise translated from None
             raise
-        value = machine._final_return
-        return 0 if value is None else int(value)
+
+    def _run_frames(self) -> None:
+        """Run until the frame stack is empty.
+
+        The top frame enters its compiled body when it sits at a block
+        boundary (a just-pushed frame is at block 0; a frame live at
+        tier-up reaches one within a block).  Until then it advances one
+        predecoded step at a time.  Frames of unsupported functions, and
+        frames a compiled body handed back (deopt), finish on the
+        predecoded engine."""
+        machine = self.machine
+        frames = machine.frames
+        interp = machine._interp
+        while frames:
+            frame = frames[-1]
+            function = frame.function
+            body = self._bodies.get(function, _MISSING)
+            if body is _MISSING:
+                body = self.body_for(function)
+            if body is not None:
+                meta = self._meta_by_code[body.__code__]
+                index = meta.block_index[frame.block]
+                if frame.inst_index != meta.leading[index]:
+                    # mid-block: step toward the next boundary
+                    interp(0, min(machine._steps + 1, machine.max_steps))
+                    continue
+                live = self._live_values(meta, frame, index)
+                if live is not None:
+                    try:
+                        body(frame, index, live)
+                    except _Deopt:
+                        interp(len(frames) - 1, machine.max_steps)
+                    continue
+            interp(len(frames) - 1, machine.max_steps)
+
+    @staticmethod
+    def _live_values(meta: _FunctionMeta, frame, index: int):
+        """The frame's live-in values at block ``index``, or None when
+        one was never defined (non-dominating IR: the frame stays on the
+        predecoded engine, which diagnoses the use)."""
+        env = frame.env
+        try:
+            return tuple([env[value] for value in meta.live_in[index]])
+        except KeyError:
+            return None
 
     def _call(self, target, args, call_site, over_steps=0, over_units=0) -> None:
         """Guest call from compiled code: push the frame, run the
@@ -1012,46 +1162,15 @@ class JitEngine:
             if body is _MISSING:
                 body = self.body_for(target)
             if body is None:
-                self._interp_until(depth)
+                machine._interp(depth, machine.max_steps)
             else:
                 try:
                     body(frames[-1])
                 except _Deopt:
-                    self._interp_until(depth)
+                    machine._interp(depth, machine.max_steps)
         finally:
             machine._steps += over_steps
             cost.cycle_units += over_units
-
-    def _interp_until(self, depth: int) -> None:
-        """Interpret (predecoded step lists) until the frame stack drops
-        back to ``depth`` — the deopt continuation.  A verbatim bounded
-        copy of ``Machine._execute_loop_fast``."""
-        machine = self.machine
-        frames = machine.frames
-        max_steps = machine.max_steps
-        steps = machine._steps
-        try:
-            while len(frames) > depth:
-                frame = frames[-1]
-                index = frame.inst_index
-                frame.inst_index = index + 1
-                steps += 1
-                if steps > max_steps:
-                    raise VMLimitExceeded(
-                        f"step limit of {max_steps} exceeded "
-                        f"(runaway loop or corrupted counter)"
-                    )
-                frame.code[index](frame)
-        except FellOffBlock:
-            # The sentinel fetch is not an executed instruction.
-            steps -= 1
-            frame = frames[-1]
-            raise VMError(
-                f"fell off block '{frame.block.label}' in "
-                f"'{frame.function.name}'"
-            ) from None
-        finally:
-            machine._steps = steps
 
     def _deopt_sync(self, meta: _FunctionMeta, frame, block_index: int, lvars) -> None:
         """Sync compiled-body locals back into ``frame.env`` and raise

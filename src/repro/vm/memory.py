@@ -23,6 +23,7 @@ exactly like hardware.
 
 from __future__ import annotations
 
+import mmap
 import struct
 from typing import Dict, List, Optional, Tuple
 
@@ -51,10 +52,12 @@ class Segment:
         readable: bool = True,
         writable: bool = True,
         executable: bool = False,
+        data=None,
     ):
         self.name = name
         self.base = base
-        self.data = bytearray(size)
+        #: the bytes; a fixed-size segment may pass a zero-filled mapping
+        self.data = bytearray(size) if data is None else data
         self.readable = readable
         self.writable = writable
         self.executable = executable
@@ -84,7 +87,12 @@ class Memory:
         self.rodata = Segment("rodata", RODATA_BASE, 0, writable=False)
         self.data = Segment("data", DATA_BASE, 0)
         self.heap = Segment("heap", HEAP_BASE, 0)
-        self.stack = Segment("stack", stack_base, stack_limit)
+        # The stack never grows and a program touches a few KiB of it:
+        # an anonymous mapping makes only written pages resident, where
+        # a zeroed bytearray would commit all of it for every Machine.
+        self.stack = Segment(
+            "stack", stack_base, stack_limit, data=mmap.mmap(-1, stack_limit)
+        )
         #: cached for the typed-access fast paths (never changes).
         self._stack_base = stack_base
         self._segments: List[Segment] = [
@@ -303,7 +311,7 @@ class Memory:
         if segment.readable:
             offset = address - segment.base
             end = min(offset + limit, len(segment.data))
-            nul = segment.data.find(0, offset, end)
+            nul = segment.data.find(b"\x00", offset, end)
             if nul >= 0:
                 return bytes(segment.data[offset:nul])
         # No terminator inside this segment (or unreadable): replay the

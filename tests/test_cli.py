@@ -64,6 +64,21 @@ class TestRunCommand:
         assert main(["run", str(path), "--input", "abc"]) == 0
         assert "exit    : 3" in capsys.readouterr().out
 
+    def test_run_engines_print_identical_results(self, tmp_path, capsys):
+        # ~16k steps: long enough that the default engine tiers up
+        path = tmp_path / "loop.c"
+        path.write_text(
+            "int main() { int s = 0;"
+            " for (int i = 0; i < 2000; i = i + 1) { s = s + i; }"
+            " print_int(s); return 0; }"
+        )
+        outputs = []
+        for engine in ("tiered", "fast", "jit", "slow"):
+            assert main(["run", str(path), "--engine", engine]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert "1999000" in outputs[0]
+        assert len(set(outputs)) == 1
+
 
 class TestHardenCommand:
     def test_harden_runs_and_reports_pbox(self, hello_file, capsys):

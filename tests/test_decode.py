@@ -9,11 +9,10 @@ whole benchmark suite, hardened builds, and the error paths.
 
 import pytest
 
-from repro.benchsuite.programs import WORKLOADS, get_workload
-from repro.core.pipeline import compile_source, harden_source
-from repro.rng.entropy import DeterministicEntropy
-from repro.rng.sources import make_source
+from repro.benchsuite.programs import WORKLOADS
+from repro.core.pipeline import compile_source
 from repro.vm.interpreter import RESULT_FIELDS, Machine
+from tests.suite_runs import reference_run, suite_machine
 
 #: Every ExecutionResult field (output_data included): the canonical
 #: "bit-identical" definition, shared with the fuzzer's dispatch oracle.
@@ -31,7 +30,7 @@ def assert_identical(fast, slow, label):
 def run_both(source_text, inputs=(), max_steps=None, **kwargs):
     results = []
     for fast_dispatch in (True, False):
-        machine_kwargs = dict(kwargs, fast_dispatch=fast_dispatch)
+        machine_kwargs = dict(kwargs, fast_dispatch=fast_dispatch, jit=False)
         if max_steps is not None:
             machine_kwargs["max_steps"] = max_steps
         machine = Machine(
@@ -46,31 +45,17 @@ def run_both(source_text, inputs=(), max_steps=None, **kwargs):
 class TestWorkloadEquivalence:
     @pytest.mark.parametrize("name", sorted(WORKLOADS))
     def test_baseline_bit_identical(self, name):
-        workload = get_workload(name)
-        fast, slow = (
-            Machine(
-                compile_source(workload.source, name),
-                inputs=list(workload.inputs),
-                fast_dispatch=fd,
-            ).run()
-            for fd in (True, False)
-        )
-        assert_identical(fast, slow, name)
+        # The default engine tiers into the JIT on these long runs, so
+        # the pure predecoded engine gets its own jit=False arm.
+        slow = reference_run(name, "baseline")
+        for label, kwargs in (("default", {}), ("predecoded", {"jit": False})):
+            fast = suite_machine(name, "baseline", **kwargs).run()
+            assert_identical(fast, slow, f"{name} {label}")
 
     @pytest.mark.parametrize("name", ["libquantum", "sjeng"])
     def test_hardened_bit_identical(self, name):
-        workload = get_workload(name)
-        results = []
-        for fast_dispatch in (True, False):
-            hardened = harden_source(workload.source, None, name)
-            machine = Machine(
-                hardened.module,
-                inputs=list(workload.inputs),
-                rng_source=make_source("aes-10", DeterministicEntropy(0)),
-                fast_dispatch=fast_dispatch,
-            )
-            results.append(machine.run())
-        assert_identical(results[0], results[1], f"hardened {name}")
+        fast = suite_machine(name, "aes-10", jit=False).run()
+        assert_identical(fast, reference_run(name, "aes-10"), f"hardened {name}")
 
 
 class TestErrorPathEquivalence:

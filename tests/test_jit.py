@@ -7,8 +7,12 @@ step limit mid-block — it must produce exactly the ExecutionResult the
 interpreter paths produce, field for field.  The deopt boundary gets
 special attention: step-limit deopts hand half-executed frames to the
 interpreter, and traced machines must skip the JIT entirely while still
-producing identical runs and event streams.
+producing identical runs and event streams.  So does the tier boundary:
+a tiered run hands every live frame to compiled code at its next block
+boundary (on-stack entry), and must stay exact wherever that lands.
 """
+
+import sys
 
 import pytest
 
@@ -16,9 +20,15 @@ from repro.benchsuite.programs import WORKLOADS, get_workload
 from repro.core.pipeline import compile_source, harden_source
 from repro.rng.entropy import DeterministicEntropy
 from repro.rng.sources import make_source
-from repro.vm.interpreter import RESULT_FIELDS, Machine
+from repro.vm.interpreter import RESULT_FIELDS, Machine, result_fingerprint
+from repro.vm.jit import JitEngine
+from tests.suite_runs import BUILDS, reference_run, suite_machine
 
 COMPARED_FIELDS = RESULT_FIELDS
+
+#: Tier-up point of the tiered arm in the small-program tests: every
+#: program that runs more than a handful of steps tiers up mid-run.
+SMALL_TIER_UP = 10
 
 
 def assert_identical(jit, reference, label):
@@ -29,33 +39,41 @@ def assert_identical(jit, reference, label):
         )
 
 
+def tiered(machine, tier_up_steps):
+    """``machine`` with its tier-up point moved (this machine only)."""
+    machine.jit_tier_up_steps = tier_up_steps
+    return machine
+
+
 def run_engines(source_text, inputs=(), max_steps=None, **kwargs):
-    """(jit, fast, slow) results for one program."""
-    results = []
-    for engine_kwargs in (
-        {"jit": True},
-        {"fast_dispatch": True},
-        {"fast_dispatch": False},
+    """{engine: result} for one program: eager jit, tiered, predecoded
+    and executor table."""
+    module = compile_source(source_text)
+    results = {}
+    for label, engine_kwargs in (
+        ("jit", {"jit": True}),
+        ("tiered", {}),
+        ("fast", {"jit": False}),
+        ("slow", {"fast_dispatch": False}),
     ):
         machine_kwargs = dict(kwargs, **engine_kwargs)
         if max_steps is not None:
             machine_kwargs["max_steps"] = max_steps
-        machine = Machine(
-            compile_source(source_text),
-            inputs=list(inputs),
-            **machine_kwargs,
-        )
-        results.append(machine.run())
+        machine = Machine(module, inputs=list(inputs), **machine_kwargs)
+        if label == "tiered":
+            tiered(machine, SMALL_TIER_UP)
+        results[label] = machine.run()
     return results
 
 
 def assert_all_agree(source_text, inputs=(), max_steps=None, label="", **kwargs):
-    jit, fast, slow = run_engines(
+    results = run_engines(
         source_text, inputs=inputs, max_steps=max_steps, **kwargs
     )
-    assert_identical(jit, fast, f"{label} (vs fast)")
-    assert_identical(jit, slow, f"{label} (vs slow)")
-    return jit
+    slow = results.pop("slow")
+    for engine, result in results.items():
+        assert_identical(result, slow, f"{label} ({engine} vs slow)")
+    return results["jit"]
 
 
 class TestWorkloadEquivalence:
@@ -88,8 +106,14 @@ class TestWorkloadEquivalence:
         assert_identical(results[0], results[1], f"hardened {name}")
 
 
+#: Tier-up point for the canned attacks: low enough that every attempt
+#: crosses it (asserted), so live attack frames enter compiled code.
+ATTACK_TIER_UP = 50
+
+
 class TestCannedAttackEquivalence:
-    """All four canned DOP attacks replay identically under the JIT.
+    """All four canned DOP attacks replay identically under the JIT,
+    eager and tiered, as under the executor table.
 
     Attack campaigns are the intended JIT consumer (thousands of runs of
     one build), and they exercise the gnarliest machine behavior:
@@ -118,26 +142,46 @@ class TestCannedAttackEquivalence:
             "wireshark": WiresharkDopAttack,
         }[attack]
 
-        def jitted(use_jit):
+        def engine(engine_kwargs, tier_up_steps=None):
+            runs = []
+
             class Wrapped(scenario_cls):
                 def machine_kwargs(self):
-                    kwargs = super().machine_kwargs()
-                    if use_jit:
-                        kwargs["jit"] = True
-                    return kwargs
+                    return dict(super().machine_kwargs(), **engine_kwargs)
 
-            return Wrapped()
+                def run_once(self, build, rng, attempt):
+                    hook = self.make_input_hook(build, rng, attempt)
+                    machine = build.make_machine(
+                        input_hook=hook, **self.machine_kwargs()
+                    )
+                    if tier_up_steps is not None:
+                        tiered(machine, tier_up_steps)
+                    result = machine.run()
+                    runs.append(
+                        (result_fingerprint(result), machine._jit_engine is not None)
+                    )
+                    return result
 
-        attempts = []
-        for use_jit in (True, False):
-            report = run_campaign(
-                jitted(use_jit), make_defense(defense_name),
-                restarts=3, seed=1,
+            return Wrapped(), runs
+
+        engines = {
+            "jit": engine({"jit": True}),
+            "tiered": engine({}, tier_up_steps=ATTACK_TIER_UP),
+            "slow": engine({"fast_dispatch": False}),
+        }
+        for scenario, _ in engines.values():
+            run_campaign(
+                scenario, make_defense(defense_name), restarts=3, seed=1
             )
-            attempts.append(
-                [(a.index, a.outcome, a.detail) for a in report.attempts]
-            )
-        assert attempts[0] == attempts[1], f"{attack} vs {defense_name}"
+        runs = {label: runs for label, (_, runs) in engines.items()}
+        fingerprints = {
+            label: [fingerprint for fingerprint, _ in engine_runs]
+            for label, engine_runs in runs.items()
+        }
+        assert fingerprints["jit"] == fingerprints["slow"], attack
+        assert fingerprints["tiered"] == fingerprints["slow"], attack
+        # every tiered attempt crossed its tier-up point
+        assert all(compiled for _, compiled in runs["tiered"])
 
 
 class TestErrorPathEquivalence:
@@ -224,6 +268,164 @@ class TestDeoptBoundary:
         full = Machine(compile_source(source)).run().steps
         for limit in range(max(1, full - 6), full + 3):
             assert_all_agree(source, max_steps=limit, label=f"limit {limit}")
+
+
+#: Tier-up point for the suite workloads: every run is 20k+ steps.
+SUITE_TIER_UP = 1_000
+
+
+def run_tiered(module, tier_up_steps, **kwargs):
+    """A tiered run of ``module`` and the on-stack entries it made, as
+    (function, block index, leading phi count) triples."""
+    machine = tiered(Machine(module, **kwargs), tier_up_steps)
+    engine = machine._jit_engine = JitEngine(machine)
+    live_values = engine._live_values
+    entries = []
+
+    def recording(meta, frame, index):
+        entries.append((frame.function.name, index, meta.leading[index]))
+        return live_values(meta, frame, index)
+
+    engine._live_values = recording
+    return machine.run(), entries
+
+
+class TestTieredExecution:
+    """Tiered runs (predecoded until the tier-up point, compiled after)
+    against the executor table, with the tier-up point anywhere."""
+
+    LOOP_IN_MAIN = """
+    int main() {
+        int grid[8]; int s; int i; int j;
+        s = 0;
+        for (i = 0; i < 8; i = i + 1) { grid[i] = i * 3; }
+        for (j = 0; j < 2; j = j + 1) {
+            for (i = 1; i < 7; i = i + 1) {
+                s = s + grid[i - 1] - grid[i + 1] + j;
+            }
+        }
+        print_int(s);
+        return 0;
+    }
+    """
+
+    RECURSIVE = """
+    int fib(int n) { if (n < 2) { return n; } return fib(n - 1) + fib(n - 2); }
+    int main() { print_int(fib(6)); return 0; }
+    """
+
+    #: at -O2 the loop header carries phis; b and c reach the back edge
+    #: only as phi incomings, so entry into the loop body must load them
+    PHI_LOOP = """
+    int main() {
+        int a; int b; int c; int i; int t;
+        a = 0; b = 1; c = 2;
+        for (i = 0; i < 30; i = i + 1) { t = a + 1; a = b; b = c; c = t & 255; }
+        print_int(a); print_int(b); print_int(c);
+        return 0;
+    }
+    """
+
+    PROGRAMS = {
+        "loop-in-main": (LOOP_IN_MAIN, 0),
+        "recursive": (RECURSIVE, 0),
+        "phi-loop": (PHI_LOOP, 2),
+    }
+
+    @pytest.mark.parametrize("build", BUILDS)
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
+    def test_suite_workload_matches_reference(self, name, build):
+        machine = tiered(suite_machine(name, build), SUITE_TIER_UP)
+        result = machine.run()
+        assert machine._jit_engine is not None, "run never tiered up"
+        assert_identical(result, reference_run(name, build), f"{name} {build}")
+
+    @pytest.mark.parametrize("program", sorted(PROGRAMS))
+    def test_every_tier_up_point(self, program):
+        source, opt_level = self.PROGRAMS[program]
+        module = compile_source(source, opt_level=opt_level)
+        reference = Machine(module, fast_dispatch=False).run()
+        assert reference.outcome == "exit"
+        entered = set()
+        for tier_up_steps in range(1, reference.steps + 1):
+            result, entries = run_tiered(module, tier_up_steps)
+            assert_identical(result, reference, f"tier-up at {tier_up_steps}")
+            entered.update(entries)
+        # on-stack entries landed past function entry, and for the phi
+        # loop at a block whose leading phis the interpreter executed
+        assert any(index > 0 for _, index, _ in entered)
+        if program == "phi-loop":
+            assert any(leading > 0 for _, _, leading in entered)
+        if program == "recursive":
+            assert any(name == "fib" and index > 0 for name, index, _ in entered)
+
+    @pytest.mark.parametrize("program", sorted(PROGRAMS))
+    def test_every_limit_across_the_tier_boundary(self, program):
+        source, opt_level = self.PROGRAMS[program]
+        module = compile_source(source, opt_level=opt_level)
+        full = Machine(module, fast_dispatch=False).run().steps
+        tier_up_steps = full // 2
+        _, entries = run_tiered(module, tier_up_steps)
+        assert entries, "no on-stack entry to sweep across"
+        for limit in range(tier_up_steps - 5, full + 2):
+            reference = Machine(
+                module, fast_dispatch=False, max_steps=limit
+            ).run()
+            result, _ = run_tiered(module, tier_up_steps, max_steps=limit)
+            assert_identical(result, reference, f"limit {limit}")
+
+    def test_traced_machine_never_tiers(self):
+        from repro.obs import Tracer
+
+        module = compile_source(self.LOOP_IN_MAIN)
+        streams = []
+        results = []
+        for jit in (None, False):
+            tracer = Tracer(record_writes="all")
+            machine = Machine(module, jit=jit, tracer=tracer)
+            tiered(machine, 1)
+            results.append(machine.run())
+            assert machine._jit_engine is None
+            streams.append(tracer.events)
+        assert_identical(results[0], results[1], "traced default machine")
+        assert streams[0] == streams[1]
+
+    TRAP_MID_RECURSION = (
+        "int f(int n) { if (n >= 100) { int d; d = 0; return 7 / d; }"
+        " return f(n + 1); }"
+        " int main() { return f(0); }"
+    )
+
+    def test_recursion_limit_restored(self):
+        from repro.vm.jit import JIT_RECURSION_LIMIT
+
+        before = sys.getrecursionlimit()
+        module = compile_source(self.TRAP_MID_RECURSION)
+        for tier_up_steps, max_steps, outcome in (
+            (50, 10_000, "trap"),       # tiers, then traps 100 frames deep
+            (50, 300, "limit"),         # tiers, then runs out of steps
+            (5_000, 10_000, "trap"),    # traps before the tier-up point
+        ):
+            machine = tiered(Machine(module, max_steps=max_steps), tier_up_steps)
+            assert machine.run().outcome == outcome
+            assert (machine._jit_engine is not None) == (tier_up_steps == 50)
+            assert sys.getrecursionlimit() == before
+
+        seen = []
+        reader = compile_source(
+            "int main() { int s; int i; char b[4]; s = 0;"
+            " for (i = 0; i < 60; i = i + 1) { s = s + i; }"
+            " input_read(b, 4); return s - 1770; }"
+        )
+        for tier_up_steps in (50, 5_000):
+            machine = Machine(
+                reader,
+                input_hook=lambda m: seen.append(sys.getrecursionlimit()) or b"x",
+            )
+            assert tiered(machine, tier_up_steps).run().exit_code == 0
+            assert sys.getrecursionlimit() == before
+        # raised only while a run executes compiled code
+        assert seen == [JIT_RECURSION_LIMIT, before]
 
 
 class TestObservedRunsDeopt:

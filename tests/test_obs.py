@@ -290,6 +290,29 @@ class TestJitMetrics:
         # The whole run deopted: nothing was compiled for it.
         assert "jit_functions_compiled_total" not in snap["counters"]
 
+    def test_traced_default_machine_counts_no_deopt(self):
+        # Default machines tier, but a traced one never compiles, so its
+        # run is no deopt (every traced serve harden used to count one).
+        registry = self._fresh_registry()
+        machine = Machine(compile_source(self.SOURCE), tracer=Tracer())
+        machine.jit_tier_up_steps = 1
+        result = machine.run()
+        assert result.outcome == "exit" and result.exit_code == 0
+        counters = registry.snapshot()["counters"]
+        assert not any(name.startswith("jit_") for name in counters)
+
+    def test_tierup_counted_once_per_tiered_run(self):
+        registry = self._fresh_registry()
+        module = compile_source(self.SOURCE)
+        tiered = Machine(module)
+        tiered.jit_tier_up_steps = 40
+        tiered.run()
+        Machine(module).run()  # finishes before the default tier-up point
+        Machine(module, jit=True).run()  # compiled from its first step
+        counters = registry.snapshot()["counters"]
+        assert counters["jit_tierups_total"] == 1
+        assert counters["jit_functions_compiled_total"] == 2
+
 
 #: (traced?, fast_dispatch?) — all four execution configurations.
 MODES = [(False, True), (False, False), (True, True), (True, False)]

@@ -363,3 +363,33 @@ class TestServeLimits:
             # rejected clients can retry successfully once drained
             retried = spare.request_raw({"op": "sleep", "seconds": 0.05})
             assert retried["ok"] is True
+
+
+class TestServePoolFailure:
+    """A pool whose ``submit`` raises (a worker died and broke the pool)
+    must answer ``internal`` with ``retry_after`` and free its in-flight
+    slot, or the server drifts into permanent ``overloaded``."""
+
+    def test_submit_failure_frees_inflight_slot(self):
+        from concurrent.futures.process import BrokenProcessPool
+
+        class BrokenPool:
+            def submit(self, *args, **kwargs):
+                raise BrokenProcessPool("a worker terminated abruptly")
+
+            def shutdown(self, *args, **kwargs):
+                pass
+
+        thread = ServerThread(
+            ServeConfig(workers=1, max_inflight=1, retry_after=0.05)
+        )
+        thread.server._pool = BrokenPool()  # start_pool keeps an existing pool
+        with thread, connect(*thread.address) as c:
+            for _ in range(3):  # max_inflight=1: a leaked slot shows here
+                envelope = c.request_raw({"op": "compile", "source": ADD_SRC})
+                assert envelope["error"]["code"] == "internal"
+                assert envelope["error"]["retry_after"] == 0.05
+                assert "BrokenProcessPool" in envelope["error"]["message"]
+            stats = c.stats()
+            assert stats["inflight"] == 0
+            assert stats["rejections_total"] == 0
