@@ -49,7 +49,7 @@ from repro.analysis.assign import (  # noqa: E402
     assignment_summary,
 )
 from repro.analysis.crosscheck import crosscheck_dualstack  # noqa: E402
-from repro.core.pipeline import compile_source  # noqa: E402
+from repro.core.pipeline import Program, compile_source  # noqa: E402
 from repro.defenses import defense_names, make_defense  # noqa: E402
 from repro.synth import (  # noqa: E402
     SoundnessError,
@@ -134,42 +134,39 @@ def crosscheck_phase(cases):
 
 
 def overhead_phase(defenses):
-    """Cycle overhead per defense over the workload subset."""
+    """Cycle overhead per defense over the workload subset.
+
+    Every build of a workload (the ``none`` baseline and one per
+    defense) shares one :class:`Program`, so each source is parsed once.
+    """
     from repro.benchsuite.programs import WORKLOADS
 
-    table = {}
-    baselines = {}
-    for wname in OVERHEAD_WORKLOADS:
-        workload = WORKLOADS[wname]
-        build = make_defense("none").build(workload.source)
+    def cycles(defense, program, workload):
+        build = make_defense(defense).build(program)
         machine = build.make_machine(
             inputs=list(workload.inputs), max_steps=BENCH_MAX_STEPS
         )
         result = machine.run()
         if not result.finished_cleanly():
             raise RuntimeError(
-                f"baseline {wname} did not finish: {result.outcome}"
+                f"{defense}/{workload.name} did not finish: {result.outcome}"
             )
-        baselines[wname] = result.cycles
-    for defense in defenses:
-        row = {}
-        for wname in OVERHEAD_WORKLOADS:
-            workload = WORKLOADS[wname]
-            build = make_defense(defense).build(workload.source)
-            machine = build.make_machine(
-                inputs=list(workload.inputs), max_steps=BENCH_MAX_STEPS
+        return result.cycles
+
+    table = {defense: {} for defense in defenses}
+    for wname in OVERHEAD_WORKLOADS:
+        workload = WORKLOADS[wname]
+        program = Program(workload.source, wname)
+        baseline = cycles("none", program, workload)
+        for defense in defenses:
+            table[defense][wname] = round(
+                cycles(defense, program, workload) / baseline - 1.0, 5
             )
-            result = machine.run()
-            if not result.finished_cleanly():
-                raise RuntimeError(
-                    f"{defense}/{wname} did not finish: {result.outcome}"
-                )
-            row[wname] = round(result.cycles / baselines[wname] - 1.0, 5)
+    for row in table.values():
         row["mean"] = round(
             sum(row[w] for w in OVERHEAD_WORKLOADS) / len(OVERHEAD_WORKLOADS),
             5,
         )
-        table[defense] = row
     return table
 
 

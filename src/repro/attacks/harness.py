@@ -20,6 +20,7 @@ import random
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.attacks.model import AttackReport, classify_result
+from repro.core.pipeline import Program
 from repro.defenses.base import Defense, ProgramBuild
 from repro.vm.interpreter import ExecutionResult, Machine
 
@@ -39,6 +40,11 @@ class AttackScenario:
     victim_function = ""
     #: one-line description for reports
     description = ""
+
+    @property
+    def program(self) -> Program:
+        """The victim, parsed afresh for one campaign's build."""
+        return Program(self.source)
 
     def make_input_hook(
         self, build: ProgramBuild, rng: random.Random, attempt: int
@@ -75,8 +81,8 @@ def run_campaign(
     seed: int = 0,
     stop_on_success: bool = True,
 ) -> AttackReport:
-    """Attack one deployment of ``scenario.source`` under ``defense``."""
-    build = defense.build(scenario.source, instance_seed=seed)
+    """Attack one deployment of ``scenario.program`` under ``defense``."""
+    build = defense.build(scenario.program, instance_seed=seed)
     report = AttackReport(scenario.name, defense.name)
     for attempt in range(restarts):
         rng = random.Random((seed << 16) ^ (attempt * 0x9E37) ^ 0xA77ACC)

@@ -430,6 +430,7 @@ def cmd_profile(args) -> int:
 
 def cmd_serve(args) -> int:
     import asyncio
+    import signal
 
     from repro.serve.server import ReproServer, ServeConfig
 
@@ -449,12 +450,20 @@ def cmd_serve(args) -> int:
         host, port = server.address
         print(f"repro serve listening on {host}:{port} "
               f"({config.workers} workers, cache {config.cache_entries})")
-        await server.serve_forever()
+        # SIGINT requests a stop instead of cancelling every task, so
+        # open connections are closed and their handlers end cleanly.
+        stopping = asyncio.Event()
+        asyncio.get_running_loop().add_signal_handler(
+            signal.SIGINT, stopping.set
+        )
+        await stopping.wait()
+        await server.stop()
 
     try:
         asyncio.run(run())
-    except KeyboardInterrupt:
-        print("repro serve: shutting down")
+    except KeyboardInterrupt:  # interrupted before the handler was installed
+        pass
+    print("repro serve: shutting down")
     return 0
 
 

@@ -2,12 +2,14 @@
 
 These are the reproduction's equivalents of ``clang -O2`` (baseline) and
 ``clang -O2 -fsmokestack`` (hardened): one call takes Mini-C source and
-returns something the VM can run.
+returns something the VM can run.  :class:`Program` is the many-builds
+form: one parse, one read-only reference module, and fresh lowerings
+for the builds that transform IR.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional
 
 from repro.core.config import SmokestackConfig
 from repro.core.instrument import instrument_module
@@ -71,6 +73,55 @@ def compile_source(source: str, name: str = "program", opt_level: int = 0) -> Mo
         module = lower_ast(ast, name, opt_level=opt_level)
     get_registry().counter("pipeline_compiles_total").inc()
     return module
+
+
+class Program:
+    """One program's source, parsed once and shared by all its builds.
+
+    ``module`` is the *reference* module: lowered once on first use and
+    never transformed, so every consumer that only reads or runs the
+    unhardened program — the attacker's fact base, the baseline and the
+    run-time-only defenses — shares it.  It is read-only by contract: a
+    build that transforms its module (padding, static permutation,
+    Smokestack) must call :meth:`lower` for a fresh module from the same
+    AST.  Nothing here is cached beyond the object's own lifetime.
+    """
+
+    def __init__(self, source: str, name: str = "program"):
+        self.source = source
+        self.name = name
+        self._ast = None
+        self._module: Optional[Module] = None
+        self._layouts: Optional[Dict[str, Dict[str, int]]] = None
+
+    @property
+    def ast(self):
+        if self._ast is None:
+            self._ast = compile_to_ast(self.source, self.name)
+        return self._ast
+
+    def lower(self) -> Module:
+        """A fresh, unshared module lowered from the one parse."""
+        return lower_ast(self.ast, self.name)
+
+    @property
+    def module(self) -> Module:
+        """The shared reference module (read-only)."""
+        if self._module is None:
+            self._module = self.lower()
+        return self._module
+
+    @property
+    def reference_layouts(self) -> Dict[str, Dict[str, int]]:
+        """Declaration-order layouts of every function: what an attacker
+        studying the un-diversified reference binary sees."""
+        if self._layouts is None:
+            machine = Machine(self.module)
+            self._layouts = {
+                name: machine.baseline_frame_layout(name)
+                for name in self.module.functions
+            }
+        return self._layouts
 
 
 class HardenedProgram:

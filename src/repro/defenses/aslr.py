@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import random
 
-from repro.core.pipeline import compile_source
-from repro.defenses.base import Defense, ProgramBuild, reference_layouts_of
+from repro.core.pipeline import Program
+from repro.defenses.base import Defense, ProgramBuild
 from repro.vm.interpreter import Machine
 
 #: Span of the random displacement (bytes).  16-byte granularity is
@@ -30,9 +30,8 @@ class StackBaseASLR(Defense):
     def __init__(self, entropy_span: int = DEFAULT_ENTROPY_SPAN):
         self.entropy_span = entropy_span
 
-    def build(self, source: str, instance_seed: int = 0) -> ProgramBuild:
-        module = compile_source(source)
-        layouts = reference_layouts_of(module)
+    def _build(self, program: Program, instance_seed: int) -> ProgramBuild:
+        module = program.module
         rng = random.Random(instance_seed ^ 0xA51A51)
         span = self.entropy_span
 
@@ -41,4 +40,6 @@ class StackBaseASLR(Defense):
             kwargs.setdefault("stack_base_offset", rng.randrange(0, span, 16))
             return Machine(module, **kwargs)
 
-        return ProgramBuild(self.name, module, factory, layouts)
+        return ProgramBuild(
+            self.name, module, factory, program.reference_layouts
+        )

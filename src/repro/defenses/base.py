@@ -22,9 +22,9 @@ Smokestack there simply is no per-variable layout to recover.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Union
 
-from repro.core.pipeline import compile_source
+from repro.core.pipeline import Program
 from repro.ir.module import Module
 from repro.vm.interpreter import Machine
 
@@ -68,20 +68,26 @@ class Defense:
     #: "invocation")
     randomization_time = "none"
 
-    def build(self, source: str, instance_seed: int = 0) -> ProgramBuild:
+    def build(
+        self, program: Union[Program, str], instance_seed: int = 0
+    ) -> ProgramBuild:
+        """Deploy ``program`` (a plain source string is parsed here).
+
+        Builds of one :class:`Program` share its parse, its reference
+        module and its reference layouts; see :meth:`_build`.
+        """
+        if not isinstance(program, Program):
+            program = Program(program)
+        return self._build(program, instance_seed)
+
+    def _build(self, program: Program, instance_seed: int) -> ProgramBuild:
+        """The scheme itself.  ``program.module`` is shared and must not
+        be transformed: a scheme that rewrites IR does so on
+        ``program.lower()``."""
         raise NotImplementedError
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
-
-
-def reference_layouts_of(module: Module) -> Dict[str, Dict[str, int]]:
-    """Declaration-order layouts of every function (the un-diversified
-    reference binary an attacker studies)."""
-    machine = Machine(module)
-    return {
-        name: machine.baseline_frame_layout(name) for name in module.functions
-    }
 
 
 class NoDefense(Defense):
@@ -90,14 +96,15 @@ class NoDefense(Defense):
     name = "none"
     randomization_time = "none"
 
-    def build(self, source: str, instance_seed: int = 0) -> ProgramBuild:
-        module = compile_source(source)
-        layouts = reference_layouts_of(module)
+    def _build(self, program: Program, instance_seed: int) -> ProgramBuild:
+        module = program.module
 
         def factory(**kwargs) -> Machine:
             return Machine(module, **kwargs)
 
-        return ProgramBuild(self.name, module, factory, layouts)
+        return ProgramBuild(
+            self.name, module, factory, program.reference_layouts
+        )
 
 
 class StackCanary(Defense):
@@ -112,12 +119,13 @@ class StackCanary(Defense):
     name = "canary"
     randomization_time = "load"
 
-    def build(self, source: str, instance_seed: int = 0) -> ProgramBuild:
-        module = compile_source(source)
-        layouts = reference_layouts_of(module)
+    def _build(self, program: Program, instance_seed: int) -> ProgramBuild:
+        module = program.module
 
         def factory(**kwargs) -> Machine:
             kwargs.setdefault("stack_protector", True)
             return Machine(module, **kwargs)
 
-        return ProgramBuild(self.name, module, factory, layouts)
+        return ProgramBuild(
+            self.name, module, factory, program.reference_layouts
+        )

@@ -28,8 +28,8 @@ from __future__ import annotations
 import random
 
 from repro.analysis.partition import machine_partition, partition_module
-from repro.core.pipeline import compile_source
-from repro.defenses.base import Defense, ProgramBuild, reference_layouts_of
+from repro.core.pipeline import Program
+from repro.defenses.base import Defense, ProgramBuild
 from repro.vm.interpreter import Machine
 
 #: Span of the unclean stack's load-time displacement (bytes), matching
@@ -46,9 +46,8 @@ class CleanStackDefense(Defense):
     def __init__(self, entropy_span: int = DEFAULT_UNSAFE_SPAN):
         self.entropy_span = entropy_span
 
-    def build(self, source: str, instance_seed: int = 0) -> ProgramBuild:
-        module = compile_source(source)
-        layouts = reference_layouts_of(module)
+    def _build(self, program: Program, instance_seed: int) -> ProgramBuild:
+        module = program.module
         # The partition is a compile-time artifact: static analysis over
         # the taint verdicts, baked into the deployment.
         unclean = machine_partition(partition_module(module))
@@ -63,4 +62,6 @@ class CleanStackDefense(Defense):
             )
             return Machine(module, **kwargs)
 
-        return ProgramBuild(self.name, module, factory, layouts)
+        return ProgramBuild(
+            self.name, module, factory, program.reference_layouts
+        )

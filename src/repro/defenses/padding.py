@@ -20,8 +20,8 @@ import random
 from typing import Dict
 
 from repro.core.allocations import discover_function
-from repro.core.pipeline import compile_source
-from repro.defenses.base import Defense, ProgramBuild, reference_layouts_of
+from repro.core.pipeline import Program
+from repro.defenses.base import Defense, ProgramBuild
 from repro.ir.instructions import Alloca
 from repro.ir.module import Function, Module
 from repro.minic import types as ct
@@ -74,15 +74,16 @@ class ForrestPadding(Defense):
     name = "padding"
     randomization_time = "compile"
 
-    def build(self, source: str, instance_seed: int = 0) -> ProgramBuild:
-        # The attacker's reference layout comes from the unpadded build.
-        reference_module = compile_source(source)
-        layouts = reference_layouts_of(reference_module)
-        module = compile_source(source)
+    def _build(self, program: Program, instance_seed: int) -> ProgramBuild:
+        # The attacker's reference layout comes from the unpadded build;
+        # the padding goes into a fresh lowering of the same parse.
+        module = program.lower()
         applied = apply_module_padding(module, instance_seed)
         module.metadata["forrest_padding"] = applied
 
         def factory(**kwargs) -> Machine:
             return Machine(module, **kwargs)
 
-        return ProgramBuild(self.name, module, factory, layouts)
+        return ProgramBuild(
+            self.name, module, factory, program.reference_layouts
+        )

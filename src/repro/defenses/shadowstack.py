@@ -19,8 +19,8 @@ argument for why backward-edge CFI does not answer data-oriented attacks.
 
 from __future__ import annotations
 
-from repro.core.pipeline import compile_source
-from repro.defenses.base import Defense, ProgramBuild, reference_layouts_of
+from repro.core.pipeline import Program
+from repro.defenses.base import Defense, ProgramBuild
 from repro.vm.interpreter import Machine
 
 
@@ -30,12 +30,13 @@ class ShadowStackDefense(Defense):
     name = "shadowstack"
     randomization_time = "none"
 
-    def build(self, source: str, instance_seed: int = 0) -> ProgramBuild:
-        module = compile_source(source)
-        layouts = reference_layouts_of(module)
+    def _build(self, program: Program, instance_seed: int) -> ProgramBuild:
+        module = program.module
 
         def factory(**kwargs) -> Machine:
             kwargs.setdefault("shadow_stack", True)
             return Machine(module, **kwargs)
 
-        return ProgramBuild(self.name, module, factory, layouts)
+        return ProgramBuild(
+            self.name, module, factory, program.reference_layouts
+        )

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.config import SmokestackConfig
-from repro.core.pipeline import harden_source
+from repro.core.pipeline import Program, harden_module
 from repro.defenses.base import Defense, ProgramBuild
 from repro.rng.entropy import DeterministicEntropy, EntropySource
 from repro.vm.interpreter import Machine
@@ -32,8 +32,8 @@ class SmokestackDefense(Defense):
         self.config = config or SmokestackConfig()
         self.entropy = entropy
 
-    def build(self, source: str, instance_seed: int = 0) -> ProgramBuild:
-        hardened = harden_source(source, self.config)
+    def _build(self, program: Program, instance_seed: int) -> ProgramBuild:
+        hardened = harden_module(program.lower(), self.config)
         entropy = self.entropy
         scheme = self.config.scheme
         starts = [0]  # distinct per-process entropy across restarts

@@ -13,8 +13,8 @@ from __future__ import annotations
 import random
 from typing import Dict, List
 
-from repro.core.pipeline import compile_source
-from repro.defenses.base import Defense, ProgramBuild, reference_layouts_of
+from repro.core.pipeline import Program
+from repro.defenses.base import Defense, ProgramBuild
 from repro.ir.instructions import Alloca, Instruction
 from repro.ir.module import Function, Module
 from repro.vm.interpreter import Machine
@@ -64,10 +64,8 @@ class StaticPermutation(Defense):
     name = "static-permute"
     randomization_time = "compile"
 
-    def build(self, source: str, instance_seed: int = 0) -> ProgramBuild:
-        reference_module = compile_source(source)
-        layouts = reference_layouts_of(reference_module)
-        module = compile_source(source)
+    def _build(self, program: Program, instance_seed: int) -> ProgramBuild:
+        module = program.lower()
         module.metadata["static_permutation"] = permute_module(
             module, instance_seed
         )
@@ -75,4 +73,6 @@ class StaticPermutation(Defense):
         def factory(**kwargs) -> Machine:
             return Machine(module, **kwargs)
 
-        return ProgramBuild(self.name, module, factory, layouts)
+        return ProgramBuild(
+            self.name, module, factory, program.reference_layouts
+        )

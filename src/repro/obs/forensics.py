@@ -21,7 +21,7 @@ from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 from repro.analysis.safety import UNSAFE, analyze_module_safety
 from repro.attacks import dop, librelp, proftpd, ripe, wireshark
 from repro.attacks.model import classify_result
-from repro.core.pipeline import compile_source
+from repro.core.pipeline import Program
 from repro.defenses import make_defense
 from repro.obs.metrics import get_registry
 from repro.obs.trace import CYCLE_SCALE, Tracer
@@ -205,8 +205,9 @@ def attack_forensics(
         ) from None
     scenario = target.scenario_class()
     defense_obj = make_defense(defense)
-    build = defense_obj.build(scenario.source, instance_seed=seed)
-    safety = analyze_module_safety(compile_source(scenario.source, name))
+    program = Program(scenario.source, name)
+    build = defense_obj.build(program, instance_seed=seed)
+    safety = analyze_module_safety(program.module)
     unsafe = {
         (function.name, record.slot)
         for function in safety.functions.values()

@@ -37,12 +37,15 @@ import time
 from concurrent import futures
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Dict, Optional
 
 from repro.obs.metrics import get_registry
 from repro.serve import protocol
 from repro.serve.cache import CachedResponse, ResultCache
 from repro.serve.worker import handle_job, warmup
+
+#: seconds :meth:`ReproServer.stop` waits for handlers busy with a job
+SHUTDOWN_GRACE = 1.0
 
 
 @dataclass
@@ -98,6 +101,8 @@ class ReproServer:
         self._pool: Optional[ProcessPoolExecutor] = None
         self._server: Optional[asyncio.base_events.Server] = None
         self._inflight = 0
+        #: open connections: handler task -> its writer
+        self._connections: Dict[asyncio.Task, asyncio.StreamWriter] = {}
         self.address: Optional[tuple] = None
 
     # -- lifecycle ------------------------------------------------------------------
@@ -134,19 +139,23 @@ class ReproServer:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
+        # Closing each connection hands a handler parked in readline its
+        # EOF, so it returns instead of being cancelled when the loop
+        # shuts down (Python 3.11's stream callback logs a cancelled
+        # handler as an unhandled CancelledError).  Handlers still busy
+        # with a job get a bounded grace period.
+        for writer in list(self._connections.values()):
+            writer.close()
+        if self._connections:
+            await asyncio.wait(list(self._connections), timeout=SHUTDOWN_GRACE)
         if self._pool is not None:
             self._pool.shutdown(wait=False, cancel_futures=True)
             self._pool = None
 
-    async def serve_forever(self) -> None:
-        if self._server is None:
-            await self.start()
-        async with self._server:
-            await self._server.serve_forever()
-
     # -- connection handling --------------------------------------------------------
 
     async def _handle_connection(self, reader, writer) -> None:
+        self._connections[asyncio.current_task()] = writer
         try:
             while True:
                 try:
@@ -175,6 +184,7 @@ class ReproServer:
             self.stats.disconnects_total += 1
             get_registry().counter("serve_disconnects_total").inc()
         finally:
+            del self._connections[asyncio.current_task()]
             writer.close()
             try:
                 await writer.wait_closed()

@@ -7,7 +7,8 @@ a delta for the parent to merge (the worker-metrics bugfix this PR's
 server depends on — without it every counter below would silently
 vanish into the worker).
 
-The only state a worker keeps between jobs is a *derived* cache:
+The only state a worker keeps between jobs is a *derived* cache, LRU
+with at most ``WORKER_CACHE_ENTRIES`` entries of each kind:
 
 * parsed ASTs keyed by source digest (parsing is pure), and
 * compiled modules keyed by ``(digest, opt)`` together with the
@@ -48,9 +49,21 @@ def _evict(cache: dict) -> None:
         cache.pop(next(iter(cache)))
 
 
+def _touch(cache: dict, key):
+    """``cache[key]`` moved to the end (most recent), or None.
+
+    Dicts keep insertion order, so re-inserting on every hit makes
+    :func:`_evict`'s pop-the-first-key least-recently-used.
+    """
+    entry = cache.pop(key, None)
+    if entry is not None:
+        cache[key] = entry
+    return entry
+
+
 def _ast_for(job: dict):
     digest = job["digest"]
-    ast = _AST_CACHE.get(digest)
+    ast = _touch(_AST_CACHE, digest)
     if ast is None:
         ast = compile_to_ast(job["source"], digest[:12])
         _AST_CACHE[digest] = ast
@@ -67,7 +80,7 @@ def _module_for(job: dict):
     served stale.
     """
     key = (job["digest"], job["opt"])
-    entry = _MODULE_CACHE.get(key)
+    entry = _touch(_MODULE_CACHE, key)
     if entry is not None:
         module, version = entry
         if getattr(module, "version", 0) == version:

@@ -26,7 +26,7 @@ from repro.analysis.taintflow import (
     collect_gadget_sinks,
 )
 from repro.core.allocations import discover_function
-from repro.core.pipeline import compile_source
+from repro.core.pipeline import Program
 from repro.ir.instructions import Alloca, Call, Cast, Store
 from repro.ir.module import Function, Module
 from repro.ir.values import Constant, GlobalVariable
@@ -62,7 +62,10 @@ class ProgramFacts:
 
     def __init__(self, source: str, name: str = "victim"):
         self.source = source
-        self.module: Module = compile_source(source, name)
+        #: one parse shared with every defense build of this victim
+        self.program = Program(source, name)
+        #: the program's read-only reference module
+        self.module: Module = self.program.module
         self._taints: Dict[str, TaintAnalysis] = {}
         self._sinks: Dict[str, List[SinkHit]] = {}
         self._layouts: Dict[Tuple[str, bool], reach.FrameLayout] = {}

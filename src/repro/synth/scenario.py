@@ -22,6 +22,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 from repro.analysis import reach
 from repro.attacks.harness import ATTACK_MAX_STEPS, AttackScenario
 from repro.core.allocations import discover_function
+from repro.core.pipeline import Program
 from repro.defenses.base import ProgramBuild
 from repro.synth.concretize import AttackScript, BuildError, concretize
 from repro.synth.facts import ProgramFacts
@@ -155,6 +156,11 @@ class SynthScenario(AttackScenario):
         self.last_script_error: Optional[str] = None
 
     # -- harness interface -------------------------------------------------
+
+    @property
+    def program(self) -> Program:
+        """The fact base's program: every defense builds from its parse."""
+        return self.facts.program
 
     def machine_kwargs(self) -> Dict[str, object]:
         kwargs: Dict[str, object] = {"max_steps": self.max_steps}

@@ -393,3 +393,69 @@ class TestServePoolFailure:
             stats = c.stats()
             assert stats["inflight"] == 0
             assert stats["rejections_total"] == 0
+
+
+class TestWorkerCacheLRU:
+    """Worker caches evict the least recently *used* entry, so a digest
+    that keeps being hit survives a stream of cold ones."""
+
+    def test_hot_digest_survives_cold_digests(self, monkeypatch):
+        from repro.serve import worker
+
+        monkeypatch.setattr(worker, "WORKER_CACHE_ENTRIES", 2)
+        monkeypatch.setattr(worker, "_AST_CACHE", {})
+        monkeypatch.setattr(worker, "_MODULE_CACHE", {})
+
+        def job(source):
+            return {"digest": source_digest(source), "source": source, "opt": 0}
+
+        hot = job(ADD_SRC)
+        hot_ast, hot_module = worker._ast_for(hot), worker._module_for(hot)
+        cold = [job(f"int main() {{ return {n}; }}") for n in range(4)]
+        for entry in cold:
+            worker._module_for(entry)  # fills both caches
+            # hits, not rebuilds (harden re-lowers from the cached AST)
+            assert worker._ast_for(hot) is hot_ast
+            assert worker._module_for(hot) is hot_module
+        assert list(worker._AST_CACHE) == [cold[-1]["digest"], hot["digest"]]
+        assert list(worker._MODULE_CACHE) == [
+            (cold[-1]["digest"], 0), (hot["digest"], 0)
+        ]
+
+
+class TestServeShutdown:
+    def test_sigint_with_idle_connection_exits_quietly(self):
+        """Ctrl-C (SIGINT to the process group) while a connection
+        handler waits in ``readline``: exit 0, no traceback."""
+        import os
+        import signal
+        import subprocess
+        import sys
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--workers", "1"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True,
+            start_new_session=True,  # its own group, as under a terminal
+        )
+        try:
+            banner = proc.stdout.readline()
+            assert "listening on" in banner, banner
+            port = int(banner.split()[4].rsplit(":", 1)[1])
+            with socket.create_connection(("127.0.0.1", port)):
+                with connect("127.0.0.1", port, timeout=30) as c:
+                    assert c.ping()
+                # the server is parked in readline on the idle connection
+                os.killpg(proc.pid, signal.SIGINT)
+                out, err = proc.communicate(timeout=30)
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.communicate()
+        assert proc.returncode == 0, err
+        assert "Traceback" not in err, err
+        assert "shutting down" in out
