@@ -51,7 +51,6 @@ from repro.analysis.gadgets import (
 )
 from repro.analysis.lint import Diagnostic, lint_function, lint_module
 from repro.analysis.reach import (
-    MODELED_DEFENSES,
     BufferReach,
     FrameLayout,
     Slot,
@@ -60,6 +59,7 @@ from repro.analysis.reach import (
     buffer_names,
     defense_layouts,
     frame_height,
+    modeled_defenses,
     overflow_reach,
     reach_under_defense,
     stacked_layout,
@@ -91,7 +91,6 @@ from repro.analysis.taintflow import (
 # re-enter repro.synth while that package is still initializing.
 _EXPLOIT_EXPORTS = frozenset(
     {
-        "DETERMINISTIC_DEFENSES",
         "EXPLOITABLE",
         "ROBUST",
         "UNDECIDED",
@@ -117,7 +116,6 @@ def __getattr__(name):
 
 
 __all__ = [
-    "DETERMINISTIC_DEFENSES",
     "EXPLOITABLE",
     "ExploitProver",
     "ExploitVerdict",
@@ -146,7 +144,6 @@ __all__ = [
     "IntervalAnalysis",
     "IntervalEnvLattice",
     "Lattice",
-    "MODELED_DEFENSES",
     "PROVEN_SAFE",
     "ProgramReport",
     "SafetyProbe",
@@ -178,6 +175,7 @@ __all__ = [
     "lint_function",
     "lint_module",
     "minimum_entropy_bits",
+    "modeled_defenses",
     "overflow_reach",
     "proven_reach_conflicts",
     "reach_under_defense",

@@ -243,7 +243,7 @@ def crosscheck_dualstack(
     set against the VM, byte for byte.
     """
     from repro.analysis.partition import machine_partition, partition_module
-    from repro.analysis.reach import cleanstack_layouts
+    from repro.defenses.cleanstack import cleanstack_layouts
 
     results: List[CrosscheckResult] = []
 

@@ -43,9 +43,11 @@ from repro.analysis.crosscheck import CrosscheckResult, crosscheck_module
 from repro.analysis.exposure import ExposureScore, score_function
 from repro.analysis.lint import Diagnostic, lint_function
 from repro.analysis.reach import (
-    MODELED_DEFENSES,
+    FIXED,
     BufferReach,
     buffer_names,
+    modeled_defense,
+    modeled_defenses,
     reach_under_defense,
 )
 from repro.analysis.taintflow import (
@@ -274,7 +276,7 @@ def analyze_program(
     name: str = "<source>",
     *,
     opt_level: int = 0,
-    defenses: Sequence[str] = MODELED_DEFENSES,
+    defenses: Optional[Sequence[str]] = None,
     samples: int = 64,
     crosscheck: bool = False,
     prove: bool = False,
@@ -288,9 +290,12 @@ def analyze_program(
     ``module`` lets a caller that already compiled the source (the serve
     worker's per-process module cache) skip the front end; analysis
     never mutates the module, so a cached one is safe to share.
+    ``defenses`` defaults to every registered defense.
     """
     if module is None:
         module = compile_source(source, opt_level=opt_level)
+    if defenses is None:
+        defenses = modeled_defenses()
     report = ProgramReport(name, module)
     counters = {"G": 0, "R": 0, "L": 0, "X": 0, "S": 0, "E": 0}
     param_map = attacker_param_indices(module)
@@ -432,7 +437,6 @@ def analyze_program(
         # repro.analysis submodules (same cycle the package __getattr__
         # breaks).
         from repro.analysis.exploit import (
-            DETERMINISTIC_DEFENSES,
             EXPLOITABLE,
             ExploitProver,
             default_goals,
@@ -447,9 +451,7 @@ def analyze_program(
             if exploit_goal is not None
             else default_goals(facts)
         )
-        chosen = tuple(
-            exploit_defenses if exploit_defenses else MODELED_DEFENSES
-        )
+        chosen = tuple(exploit_defenses or modeled_defenses())
         by_function: Dict[str, List] = {}
         for goal in goals:
             for defense in chosen:
@@ -458,7 +460,7 @@ def analyze_program(
                 if entry.verdict == EXPLOITABLE:
                     severity = (
                         "warning"
-                        if defense in DETERMINISTIC_DEFENSES
+                        if modeled_defense(defense).family == FIXED
                         else "info"
                     )
                     message = (

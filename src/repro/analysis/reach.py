@@ -13,22 +13,14 @@ addresses*: ``length`` bytes from the buffer's base corrupt every slot
 overlapping ``[buffer.lo, buffer.lo + length)``, then the cookie, then
 the caller's frame.
 
-Defenses are modelled by the *set of layouts* they can deploy:
+Defenses are modelled by the *set of layouts* they can deploy.  Each
+defense class in :mod:`repro.defenses` declares its own family
+(``frame_layouts``) and the family's kind:
 
-====================  ===========================================
-``none`` / ``aslr``   one layout (ASLR shifts the base, not the
-                      intra-frame distances)
-``canary``            one layout, canary slot below the cookie
-``padding``           8 layouts — one per Forrest pad choice
-``static-permute``    sampled permutations of the declaration order
-``cleanstack``        clean slots fixed in place; unclean slots
-                      relocated as a block to the unclean stack at a
-                      sampled load-time displacement
-``shadowstack``       one layout — return-address isolation moves the
-                      metadata band, not the data slots
-``smokestack``        the function's own permutation-table rows
-                      inside the unified frame (plus fnid slot)
-====================  ===========================================
+* :data:`FIXED` — one layout (none, aslr, canary, shadowstack);
+* :data:`ENUMERATED` — every deployable layout (padding: one per pad);
+* :data:`SAMPLED` — a seeded sample that may miss deployable members
+  (static-permute, cleanstack, smokestack).
 
 ``certain`` facts hold in *every* layout of the family (what a blind,
 single-shot DOP exploit can rely on); ``possible`` facts hold in at
@@ -39,34 +31,46 @@ to (near) nothing while prior schemes leave it intact.
 
 from __future__ import annotations
 
-import random
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.allocations import StackAllocation, discover_function
-from repro.core.config import SmokestackConfig
-from repro.core.instrument import FNID_SLOT_NAME
-from repro.core.permutation import generate_table
-from repro.defenses.padding import MIN_FRAME_SIZE, PAD_CHOICES, PAD_SLOT_NAME
 from repro.ir.module import Function, Module
 
-#: Defense families the symbolic model understands.
-MODELED_DEFENSES = (
-    "none",
-    "canary",
-    "aslr",
-    "padding",
-    "static-permute",
-    "cleanstack",
-    "shadowstack",
-    "smokestack",
-)
+#: Layout-family kinds a defense declares (``Defense.family``).
+FIXED = "fixed"
+ENUMERATED = "enumerated"
+SAMPLED = "sampled"
 
 COOKIE = "<return-cookie>"
 CANARY = "<canary>"
 CALLER = "<caller-frame>"
 
 
-def _align_down(value: int, alignment: int) -> int:
+def registered_defenses() -> Dict[str, type]:
+    """Every registered defense class by name, in registry order."""
+    # Imported here, not at the top: every defense module imports this
+    # one for the frame model, and the registry imports every defense.
+    from repro.defenses.registry import REGISTRY
+
+    return REGISTRY
+
+
+def modeled_defenses() -> Tuple[str, ...]:
+    """Every registered defense name, in registry order."""
+    return tuple(registered_defenses())
+
+
+def modeled_defense(name: str):
+    """A fresh instance of the registered defense ``name``."""
+    classes = registered_defenses()
+    if name not in classes:
+        raise ValueError(
+            f"unknown defense '{name}'; modeled: {', '.join(classes)}"
+        )
+    return classes[name]()
+
+
+def align_down(value: int, alignment: int) -> int:
     return value & ~(alignment - 1)
 
 
@@ -171,7 +175,7 @@ def allocation_slots(
     slots: List[Slot] = []
     for allocation in allocations:
         cursor -= allocation.size
-        cursor = _align_down(cursor, allocation.align)
+        cursor = align_down(cursor, allocation.align)
         slots.append(Slot(names[id(allocation)], cursor, allocation.size))
     return tuple(slots)
 
@@ -221,7 +225,7 @@ def frame_height(layout: FrameLayout) -> int:
         [slot.lo for slot in layout.slots]
         + [-16 if layout.has_canary else -8]
     )
-    return -_align_down(lowest, 16)
+    return -align_down(lowest, 16)
 
 
 def stacked_layout(
@@ -282,192 +286,15 @@ def defense_layouts(
     seed: int = 0,
     module: Optional[Module] = None,
 ) -> List[FrameLayout]:
-    """The family of concrete layouts ``defense`` can deploy for ``function``.
+    """The family of concrete layouts ``defense`` can deploy for ``function``
+    (:meth:`repro.defenses.base.Defense.frame_layouts`, by registry name).
 
-    For randomized schemes the family is sampled (seeded, deterministic);
-    ``certain`` facts computed from a sample are conservative in the safe
-    direction — a slot must survive every sampled layout to stay certain.
-    ``module`` feeds the interprocedural taint seeding of the cleanstack
-    partition; other families ignore it.
+    ``certain`` facts computed from a sampled family are conservative in
+    the safe direction — a slot must survive every sampled layout.
     """
-    descriptor = discover_function(function)
-    allocations = list(descriptor.allocations)
-    if defense in ("none", "aslr", "shadowstack"):
-        # Shadow stacks isolate the metadata band, not the data slots:
-        # the attacker-visible data layout is exactly the baseline.
-        return [baseline_layout(function)]
-    if defense == "canary":
-        return [baseline_layout(function, canary=True)]
-    if defense == "padding":
-        if descriptor.total_unpermuted_size() <= MIN_FRAME_SIZE:
-            return [baseline_layout(function)]
-        layouts = []
-        for pad in PAD_CHOICES:
-            padded = [StackAllocation(PAD_SLOT_NAME, pad, 8)] + allocations
-            layouts.append(
-                FrameLayout(
-                    function.name,
-                    allocation_slots(padded, canary=False),
-                    has_canary=False,
-                )
-            )
-        return layouts
-    if defense == "static-permute":
-        if len(allocations) < 2:
-            return [baseline_layout(function)]
-        names = unique_slot_names(allocations)
-        table = generate_table(allocations, max_rows=samples, seed=seed)
-        layouts = []
-        for row in table.rows:
-            order = sorted(range(len(allocations)), key=row.__getitem__)
-            ordered = [allocations[i] for i in reversed(order)]
-            layouts.append(
-                FrameLayout(
-                    function.name,
-                    allocation_slots(ordered, canary=False, names=names),
-                    has_canary=False,
-                )
-            )
-        return layouts
-    if defense == "cleanstack":
-        return cleanstack_layouts(
-            function, module, samples=samples, seed=seed
-        )
-    if defense == "smokestack":
-        return smokestack_layouts(function, samples=samples, seed=seed)
-    raise ValueError(
-        f"unknown defense '{defense}'; modeled: {MODELED_DEFENSES}"
+    return modeled_defense(defense).frame_layouts(
+        function, samples=samples, seed=seed, module=module
     )
-
-
-def cleanstack_region_slots(
-    function: Function,
-    module: Optional[Module] = None,
-    *,
-    partition=None,
-) -> Tuple[Tuple[Slot, ...], Tuple[Slot, ...]]:
-    """The two halves of a cleanstack frame, each in its own coordinates.
-
-    Clean slots are laid out exactly as the VM's main-stack cursor does
-    (frame top = 0, first slot below the return cookie, unclean indices
-    skipped); unclean slots are laid out by the unclean-stack cursor
-    relative to *its* region top (= 0, no cookie/canary band — metadata
-    never moves to the unclean stack).  ``partition`` may be supplied to
-    reuse a computed :class:`~repro.analysis.partition.FramePartition`.
-    """
-    from repro.analysis.partition import partition_function
-
-    if partition is None:
-        partition = partition_function(function, module)
-    statics = function.static_allocas()
-    unclean_allocas = {
-        statics[index]
-        for index in partition.unclean_indices
-        if index < len(statics)
-    }
-    descriptor = discover_function(function)
-    allocations = list(descriptor.allocations)
-    names = unique_slot_names(allocations)
-    main_slots: List[Slot] = []
-    unsafe_slots: List[Slot] = []
-    cursor = -8
-    u_cursor = 0
-    for allocation in allocations:
-        relocated = (
-            allocation.alloca is not None
-            and allocation.alloca in unclean_allocas
-        )
-        if relocated:
-            u_cursor -= allocation.size
-            u_cursor = _align_down(u_cursor, allocation.align)
-            unsafe_slots.append(
-                Slot(names[id(allocation)], u_cursor, allocation.size)
-            )
-        else:
-            cursor -= allocation.size
-            cursor = _align_down(cursor, allocation.align)
-            main_slots.append(
-                Slot(names[id(allocation)], cursor, allocation.size)
-            )
-    return tuple(main_slots), tuple(unsafe_slots)
-
-
-def cleanstack_layouts(
-    function: Function,
-    module: Optional[Module] = None,
-    *,
-    samples: int = 64,
-    seed: int = 0,
-    partition=None,
-    deltas: Optional[Sequence[int]] = None,
-) -> List[FrameLayout]:
-    """Taint-partitioned dual-stack layouts.
-
-    One layout per sampled displacement ``delta`` of the unclean region:
-    clean slots keep their exact main-stack offsets in every member,
-    while each unclean slot sits at ``u_lo + delta`` (``u_lo`` relative
-    to the unclean-region top).  The sampled deltas stand in for the
-    load-time draw — any byte-distance fact that survives the whole
-    family is delta-invariant, i.e. purely intra-region, which is the
-    defense's guarantee.  Pass an explicit ``deltas`` (e.g. one observed
-    from a VM probe) to anchor the family for byte-exact cross-checking.
-    """
-    main_slots, unsafe_slots = cleanstack_region_slots(
-        function, module, partition=partition
-    )
-    if not unsafe_slots:
-        # Fully clean frame: single exact layout, nothing relocated.
-        return [FrameLayout(function.name, main_slots, has_canary=False)]
-    if deltas is None:
-        rng = random.Random(seed ^ 0xC1EA)
-        count = max(1, min(8, samples))
-        picked = set()
-        while len(picked) < count:
-            picked.add(-rng.randrange(16 * 1024, 64 * 1024, 16))
-        deltas = sorted(picked)
-    layouts = []
-    for delta in deltas:
-        slots = main_slots + tuple(
-            Slot(slot.name, slot.lo + delta, slot.size)
-            for slot in unsafe_slots
-        )
-        layouts.append(
-            FrameLayout(function.name, slots, has_canary=False)
-        )
-    return layouts
-
-
-def smokestack_layouts(
-    function: Function, *, samples: int = 64, seed: int = 0
-) -> List[FrameLayout]:
-    """Per-invocation layouts: permutation-table rows in the unified frame.
-
-    Row offsets grow *upward* from the unified frame's base (the
-    instrumentation GEPs ``frame + offset``), so a larger row offset is a
-    higher address.  The fnid slot participates in the permutation just
-    as the real pass arranges (it replaces the stack protector).
-    """
-    descriptor = discover_function(function)
-    allocations = list(descriptor.allocations)
-    if not allocations:
-        return [baseline_layout(function)]
-    config = SmokestackConfig()
-    if config.fnid_checks:
-        allocations.append(
-            StackAllocation(FNID_SLOT_NAME, 8, 8, index=len(allocations))
-        )
-    names = unique_slot_names(allocations)
-    table = generate_table(allocations, max_rows=samples, seed=seed)
-    # The unified frame: one 16-aligned char array below the cookie.
-    frame_lo = _align_down(-8 - table.total_size, 16)
-    layouts = []
-    for row in table.rows:
-        slots = tuple(
-            Slot(names[id(allocation)], frame_lo + offset, allocation.size)
-            for allocation, offset in zip(allocations, row)
-        )
-        layouts.append(FrameLayout(function.name, slots, has_canary=False))
-    return layouts
 
 
 def reach_under_defense(
@@ -506,12 +333,15 @@ def reach_under_defense(
 
 def analyze_module_reach(
     module: Module,
-    defenses: Sequence[str] = MODELED_DEFENSES,
+    defenses: Optional[Sequence[str]] = None,
     *,
     samples: int = 64,
     seed: int = 0,
 ) -> List[BufferReach]:
-    """Reach summaries for every buffer × defense in the module."""
+    """Reach summaries for every buffer × defense in the module
+    (every registered defense unless ``defenses`` names some)."""
+    if defenses is None:
+        defenses = modeled_defenses()
     out: List[BufferReach] = []
     for function in module.functions.values():
         for buffer in buffer_names(function):

@@ -54,8 +54,8 @@ from repro.analysis.intervals import (
     resolve_pointer,
 )
 from repro.analysis.reach import (
-    MODELED_DEFENSES,
     defense_layouts,
+    modeled_defenses,
     overflow_reach,
     unique_slot_names,
 )
@@ -664,7 +664,7 @@ def proven_reach_conflicts(
         for slot in safety.slots:
             if slot.write_bound is not None and slot.write_bound <= slot.size:
                 continue
-            for defense in MODELED_DEFENSES:
+            for defense in modeled_defenses():
                 for layout in defense_layouts(
                     function, defense, samples=samples, module=module
                 ):

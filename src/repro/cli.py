@@ -152,17 +152,16 @@ def cmd_analyze(args) -> int:
         print("nothing to analyze: pass source files and/or --benchsuite")
         return 2
     if args.exploit_defenses:
-        from repro.analysis.reach import MODELED_DEFENSES
+        from repro.analysis.reach import modeled_defenses
 
+        modeled = modeled_defenses()
         unknown = [
-            d
-            for d in args.exploit_defenses.split(",")
-            if d not in MODELED_DEFENSES
+            d for d in args.exploit_defenses.split(",") if d not in modeled
         ]
         if unknown:
             print(
                 f"unknown --exploit-defenses {unknown}: "
-                f"choose from {', '.join(MODELED_DEFENSES)}"
+                f"choose from {', '.join(modeled)}"
             )
             return 2
 

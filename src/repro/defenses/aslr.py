@@ -26,6 +26,7 @@ class StackBaseASLR(Defense):
 
     name = "aslr"
     randomization_time = "load"
+    cost_rank = 3
 
     def __init__(self, entropy_span: int = DEFAULT_ENTROPY_SPAN):
         self.entropy_span = entropy_span

@@ -17,9 +17,10 @@ brute-force over the 8 possibilities (§II-C).
 from __future__ import annotations
 
 import random
-from typing import Dict
+from typing import Dict, List
 
-from repro.core.allocations import discover_function
+from repro.analysis import reach
+from repro.core.allocations import StackAllocation, discover_function
 from repro.core.pipeline import Program
 from repro.defenses.base import Defense, ProgramBuild
 from repro.ir.instructions import Alloca
@@ -73,6 +74,29 @@ class ForrestPadding(Defense):
 
     name = "padding"
     randomization_time = "compile"
+    family = reach.ENUMERATED
+    cost_rank = 4
+
+    def frame_layouts(
+        self, function: Function, **_
+    ) -> List[reach.FrameLayout]:
+        """One layout per pad choice, the pad above every local; frames
+        too small to qualify keep the baseline layout."""
+        descriptor = discover_function(function)
+        if descriptor.total_unpermuted_size() <= MIN_FRAME_SIZE:
+            return [reach.baseline_layout(function)]
+        return [
+            reach.FrameLayout(
+                function.name,
+                reach.allocation_slots(
+                    [StackAllocation(PAD_SLOT_NAME, pad, 8)]
+                    + list(descriptor.allocations),
+                    canary=False,
+                ),
+                has_canary=False,
+            )
+            for pad in PAD_CHOICES
+        ]
 
     def _build(self, program: Program, instance_seed: int) -> ProgramBuild:
         # The attacker's reference layout comes from the unpadded build;

@@ -1,8 +1,11 @@
-"""Name-keyed registry of all defenses under evaluation."""
+"""Name-keyed registry of all defenses under evaluation.
+
+Registry order is the order analysis and prover output list them in.
+"""
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Dict, List, Type
 
 from repro.defenses.aslr import StackBaseASLR
 from repro.defenses.base import Defense, NoDefense, StackCanary
@@ -12,22 +15,25 @@ from repro.defenses.shadowstack import ShadowStackDefense
 from repro.defenses.smokestack_defense import SmokestackDefense
 from repro.defenses.static_permute import StaticPermutation
 
-_FACTORIES: Dict[str, Callable[[], Defense]] = {
-    "none": NoDefense,
-    "canary": StackCanary,
-    "aslr": StackBaseASLR,
-    "padding": ForrestPadding,
-    "static-permute": StaticPermutation,
-    "cleanstack": CleanStackDefense,
-    "shadowstack": ShadowStackDefense,
-    "smokestack": SmokestackDefense,
+REGISTRY: Dict[str, Type[Defense]] = {
+    defense.name: defense
+    for defense in (
+        NoDefense,
+        StackCanary,
+        StackBaseASLR,
+        ForrestPadding,
+        StaticPermutation,
+        CleanStackDefense,
+        ShadowStackDefense,
+        SmokestackDefense,
+    )
 }
 
 
 def make_defense(name: str) -> Defense:
     """Instantiate a defense by registry name."""
     try:
-        factory = _FACTORIES[name]
+        factory = REGISTRY[name]
     except KeyError:
         raise ValueError(
             f"unknown defense '{name}'; known: {', '.join(defense_names())}"
@@ -36,9 +42,4 @@ def make_defense(name: str) -> Defense:
 
 
 def defense_names() -> List[str]:
-    return sorted(_FACTORIES)
-
-
-def prior_defense_names() -> List[str]:
-    """The pre-Smokestack schemes §II-C evaluates."""
-    return ["none", "canary", "aslr", "padding", "static-permute"]
+    return sorted(REGISTRY)

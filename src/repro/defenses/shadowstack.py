@@ -29,6 +29,7 @@ class ShadowStackDefense(Defense):
 
     name = "shadowstack"
     randomization_time = "none"
+    cost_rank = 1
 
     def _build(self, program: Program, instance_seed: int) -> ProgramBuild:
         module = program.module

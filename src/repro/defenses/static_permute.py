@@ -13,6 +13,9 @@ from __future__ import annotations
 import random
 from typing import Dict, List
 
+from repro.analysis import reach
+from repro.core.allocations import discover_function
+from repro.core.permutation import generate_table
 from repro.core.pipeline import Program
 from repro.defenses.base import Defense, ProgramBuild
 from repro.ir.instructions import Alloca, Instruction
@@ -63,6 +66,27 @@ class StaticPermutation(Defense):
 
     name = "static-permute"
     randomization_time = "compile"
+    family = reach.SAMPLED
+    cost_rank = 6
+
+    def frame_layouts(
+        self, function: Function, *, samples: int = 64, seed: int = 0, **_
+    ) -> List[reach.FrameLayout]:
+        """Sampled permutations of the declaration order."""
+        allocations = list(discover_function(function).allocations)
+        if len(allocations) < 2:
+            return [reach.baseline_layout(function)]
+        names = reach.unique_slot_names(allocations)
+        table = generate_table(allocations, max_rows=samples, seed=seed)
+        layouts = []
+        for row in table.rows:
+            order = sorted(range(len(allocations)), key=row.__getitem__)
+            ordered = [allocations[i] for i in reversed(order)]
+            slots = reach.allocation_slots(ordered, canary=False, names=names)
+            layouts.append(
+                reach.FrameLayout(function.name, slots, has_canary=False)
+            )
+        return layouts
 
     def _build(self, program: Program, instance_seed: int) -> ProgramBuild:
         module = program.lower()

@@ -2,23 +2,13 @@
 
 The planner emits *symbolic* writes ("caller slot ``gate``"); turning
 them into payload byte offsets requires a concrete two-frame layout,
-which depends on the deployed defense:
-
-``none`` / ``aslr`` / ``static-permute`` / ``smokestack``
-    the reference declaration-order layout (for the randomizing schemes
-    this is the attacker's blind best guess — exactly what makes their
-    success rates diverge);
-``canary``
-    the same layout with the canary slot below each frame's cookie;
-``padding``
-    the reference layout shifted by the Forrest pad — one hypothesis
-    per distinct ``(victim pad, caller pad)`` gap signature, cycled by
-    attempt index (the paper's §II-C brute-force bypass);
-``cleanstack``
-    the attacker's region-local view: the buffer's own stack region
-    (unclean if the buffer is relocated, the thinned main stack
-    otherwise) with exact intra-region distances — cross-region targets
-    simply do not exist in the hypothesis, which is the defense working.
+which depends on the deployed defense.  Each defense class states the
+attacker's hypotheses (:meth:`repro.defenses.base.Defense.payload_hypotheses`):
+every layout of a fixed or enumerated family (padding's pads give the
+paper's §II-C brute-force bypass, cycled by attempt index), the
+reference layout as a blind guess for a sampled family (exactly what
+makes the randomizing schemes' success rates diverge), or a
+scheme-specific view such as cleanstack's region-local one.
 
 All positions are *payload coordinates*: byte 0 is the overflow
 buffer's first byte, increasing toward the frame top and onward into
@@ -27,11 +17,9 @@ the caller's frame.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from repro.analysis import reach
-from repro.core.allocations import StackAllocation, discover_function
-from repro.defenses.padding import MIN_FRAME_SIZE, PAD_CHOICES, PAD_SLOT_NAME
 from repro.ir.module import Function
 
 
@@ -75,91 +63,6 @@ class GapModel(NamedTuple):
         return out
 
 
-def _padded_layout(
-    function: Function, pad: int, *, canary: bool
-) -> reach.FrameLayout:
-    """Reference layout with a Forrest pad as the first allocation."""
-    descriptor = discover_function(function)
-    allocations = list(descriptor.allocations)
-    if pad and descriptor.total_unpermuted_size() > MIN_FRAME_SIZE:
-        allocations = [StackAllocation(PAD_SLOT_NAME, pad, 8)] + allocations
-    return reach.FrameLayout(
-        function.name,
-        reach.allocation_slots(allocations, canary=canary),
-        has_canary=canary,
-    )
-
-
-def _model(
-    victim: Function,
-    caller: Optional[Function],
-    buffer: str,
-    *,
-    canary: bool,
-    victim_pad: int = 0,
-    caller_pad: int = 0,
-) -> GapModel:
-    victim_layout = _padded_layout(victim, victim_pad, canary=canary)
-    caller_layout = None
-    height = 0
-    if caller is not None:
-        caller_layout = _padded_layout(caller, caller_pad, canary=canary)
-        height = reach.frame_height(caller_layout)
-    return GapModel(
-        victim_layout,
-        caller_layout,
-        height,
-        victim_layout.slot(buffer).lo,
-        canary,
-    )
-
-
-def _cleanstack_model(
-    victim: Function,
-    caller: Optional[Function],
-    buffer: str,
-    module,
-) -> GapModel:
-    """Region-local gap model for the taint-partitioned dual stack.
-
-    If the buffer was relocated to the unclean stack, the reachable
-    world is the unclean region: the victim's unclean slots (offsets
-    relative to the region top), stacked directly below the caller's
-    unclean slice — contiguous, because the unclean-stack pointer
-    descends per frame just like the main one.  Otherwise the buffer
-    lives on the thinned main stack and the model is the partition-aware
-    main layout.  Either way, a planned write whose target sits in the
-    *other* region has no coordinate here and fails to build — which is
-    the defense's guarantee expressed in payload coordinates.
-    """
-    v_main, v_unsafe = reach.cleanstack_region_slots(victim, module)
-    buffer_unsafe = any(slot.name == buffer for slot in v_unsafe)
-    v_slots = v_unsafe if buffer_unsafe else v_main
-    victim_layout = reach.FrameLayout(victim.name, v_slots, has_canary=False)
-    caller_layout = None
-    height = 0
-    if caller is not None:
-        c_main, c_unsafe = reach.cleanstack_region_slots(caller, module)
-        c_slots = c_unsafe if buffer_unsafe else c_main
-        caller_layout = reach.FrameLayout(
-            caller.name, c_slots, has_canary=False
-        )
-        if buffer_unsafe:
-            # Unclean slices carry no cookie/canary band; the region
-            # height is just the slots' 16-aligned extent.
-            lows = [slot.lo for slot in c_slots]
-            height = -reach._align_down(min(lows), 16) if lows else 0
-        else:
-            height = reach.frame_height(caller_layout)
-    return GapModel(
-        victim_layout,
-        caller_layout,
-        height,
-        victim_layout.slot(buffer).lo,
-        False,
-    )
-
-
 def gap_models(
     victim: Function,
     caller: Optional[Function],
@@ -168,36 +71,16 @@ def gap_models(
     module=None,
 ) -> List[GapModel]:
     """Hypothesis list for one deployed defense (cycled by attempt)."""
-    canary = defense_name == "canary"
-    if defense_name == "cleanstack":
-        return [_cleanstack_model(victim, caller, buffer, module)]
-    if defense_name != "padding":
-        return [_model(victim, caller, buffer, canary=canary)]
-    # Padding: one hypothesis per distinct gap signature.  The caller's
-    # pad mostly cancels (its frame grows as its slots sink) but 16-byte
-    # frame alignment leaves a residue, so enumerate both pads and
-    # deduplicate on the positions that matter.
-    models: List[GapModel] = []
-    seen: Dict[Tuple[int, ...], bool] = {}
-    caller_pads: Tuple[int, ...] = PAD_CHOICES if caller is not None else (0,)
-    for victim_pad in PAD_CHOICES:
-        for caller_pad in caller_pads:
-            model = _model(
-                victim,
-                caller,
-                buffer,
-                canary=canary,
-                victim_pad=victim_pad,
-                caller_pad=caller_pad,
-            )
-            signature = [model.cookie_gap]
-            if model.caller is not None:
-                signature.extend(
-                    slot.lo + model.caller_height - model.buffer_lo
-                    for slot in model.caller.slots
-                )
-            key = tuple(signature)
-            if key not in seen:
-                seen[key] = True
-                models.append(model)
-    return models
+    hypotheses = reach.modeled_defense(defense_name).payload_hypotheses(
+        victim, caller, buffer, module=module
+    )
+    return [
+        GapModel(
+            victim_layout,
+            caller_layout,
+            height,
+            victim_layout.slot(buffer).lo,
+            victim_layout.has_canary,
+        )
+        for victim_layout, caller_layout, height in hypotheses
+    ]

@@ -5,13 +5,13 @@ import json
 import pytest
 
 from repro.analysis import (
-    MODELED_DEFENSES,
     analyze_program,
     baseline_layout,
     crosscheck_module,
     defense_layouts,
     exit_status,
     lint_function,
+    modeled_defenses,
     overflow_reach,
     reach_under_defense,
     reports_to_json,
@@ -105,7 +105,7 @@ class TestLayoutModel:
 class TestDefenseLayouts:
     def test_every_defense_has_layouts(self):
         fn = compile_source(VICTIM).get_function("main")
-        for defense in MODELED_DEFENSES:
+        for defense in modeled_defenses():
             layouts = defense_layouts(fn, defense, samples=16)
             assert layouts, defense
 

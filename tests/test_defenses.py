@@ -1,7 +1,13 @@
 """Defense-layer tests: the prior schemes and the common interface."""
 
+from unittest import mock
+
 import pytest
 
+from repro.analysis import reach
+from repro.analysis.assign import assign_defenses, defense_ladder
+from repro.analysis.exploit import ExploitProver, default_goals
+from repro.analysis.reach import ENUMERATED, FIXED, SAMPLED
 from repro.defenses import (
     PAD_CHOICES,
     ForrestPadding,
@@ -12,8 +18,10 @@ from repro.defenses import (
     StaticPermutation,
     defense_names,
     make_defense,
-    prior_defense_names,
+    registry,
 )
+from repro.synth.facts import ProgramFacts
+from repro.synth.layouts import gap_models
 
 PROBE = """
 int probe() {
@@ -40,16 +48,110 @@ class TestRegistry:
         with pytest.raises(ValueError):
             make_defense("magic")
 
-    def test_prior_defenses_exclude_smokestack(self):
-        assert "smokestack" not in prior_defense_names()
-        assert "static-permute" in prior_defense_names()
-
     def test_randomization_times(self):
-        assert make_defense("none").randomization_time == "none"
-        assert make_defense("padding").randomization_time == "compile"
-        assert make_defense("static-permute").randomization_time == "compile"
-        assert make_defense("aslr").randomization_time == "load"
-        assert make_defense("smokestack").randomization_time == "invocation"
+        # Every registered defense, in registry order:
+        # (randomization time, family kind, canary, certain caller gaps,
+        #  position on the cost ladder)
+        table = {
+            "none": ("none", FIXED, False, True, 0),
+            "canary": ("load", FIXED, True, True, 2),
+            "aslr": ("load", FIXED, False, True, 3),
+            "padding": ("compile", ENUMERATED, False, True, 4),
+            "static-permute": ("compile", SAMPLED, False, True, 6),
+            "cleanstack": ("load", SAMPLED, False, False, 5),
+            "shadowstack": ("none", FIXED, False, True, 1),
+            "smokestack": ("invocation", SAMPLED, False, True, 7),
+        }
+        assert tuple(table) == reach.modeled_defenses()
+        ladder = defense_ladder()
+        for name, row in table.items():
+            defense = make_defense(name)
+            assert (
+                defense.randomization_time,
+                defense.family,
+                defense.canary,
+                defense.certain_caller_gaps,
+                ladder.index(name),
+            ) == row, name
+        # The partitions of the registry the analyses rely on.
+        assert {n for n, r in table.items() if r[1] == FIXED} == {
+            "none", "aslr", "canary", "shadowstack"
+        }
+        assert {n for n, r in table.items() if r[1] == SAMPLED} == {
+            "static-permute", "cleanstack", "smokestack"
+        }
+        assert {n for n, r in table.items() if r[0] != "invocation"} == {
+            "none", "aslr", "canary", "padding", "static-permute",
+            "cleanstack", "shadowstack",
+        }
+        assert ladder == [
+            "none", "shadowstack", "canary", "aslr", "padding",
+            "cleanstack", "static-permute", "smokestack",
+        ]
+
+
+class CheapPadding(ForrestPadding):
+    """A defense added in one place: a subclass plus a registry entry."""
+
+    name = "cheap-padding"
+    cost_rank = -1
+
+
+class TestOneFileDefense:
+    SOURCE = """
+long serve() {
+    long quota = 7;
+    char line[32];
+    input_read(line, 64);
+    return quota;
+}
+int main() {
+    long gate = 1;
+    long got = serve();
+    if (gate == 42) { print_int(got); }
+    return 0;
+}
+"""
+
+    @pytest.fixture(autouse=True)
+    def registered(self):
+        entry = {CheapPadding.name: CheapPadding}
+        with mock.patch.dict(registry.REGISTRY, entry):
+            yield
+
+    def test_modeled_by_reach(self):
+        facts = ProgramFacts(self.SOURCE, "one-file")
+        rows = {
+            (row.function, row.buffer, row.defense): row
+            for row in reach.analyze_module_reach(facts.module, samples=16)
+        }
+        cheap = rows[("serve", "line", CheapPadding.name)]
+        padding = rows[("serve", "line", "padding")]
+        assert cheap._replace(defense="padding") == padding
+
+    def test_proved_and_given_hypotheses(self):
+        facts = ProgramFacts(self.SOURCE, "one-file")
+        prover = ExploitProver(facts, samples=4)
+        for goal in default_goals(facts, limit=4):
+            assert (
+                prover.prove(goal, CheapPadding.name).verdict
+                == prover.prove(goal, "padding").verdict
+            )
+        serve = facts.module.functions["serve"]
+        caller = facts.module.functions["main"]
+        models = gap_models(serve, caller, "line", CheapPadding.name)
+        assert models == gap_models(serve, caller, "line", "padding")
+        assert len(models) > 1
+
+    def test_on_the_ladder_at_its_cost_rank(self):
+        assert defense_ladder()[0] == CheapPadding.name
+        assert defense_ladder()[-1] == "smokestack"
+        facts = ProgramFacts(self.SOURCE, "one-file")
+        assignments = assign_defenses(facts, samples=4)
+        chosen = {a.function: a.defense for a in assignments if a.verdicts}
+        # main's goals are PROVABLY_ROBUST under padding, and the clone
+        # is now the cheapest rung that proves them.
+        assert chosen == {"main": CheapPadding.name, "serve": "smokestack"}
 
 
 class TestNoDefense:

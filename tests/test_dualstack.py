@@ -3,16 +3,17 @@
 import unittest
 
 from repro.analysis.assign import (
-    DEFENSE_COST_RANK,
     assign_defenses,
     assignment_summary,
+    defense_ladder,
 )
 from repro.analysis.crosscheck import crosscheck_dualstack
 from repro.analysis.lint import lint_module
 from repro.analysis.partition import machine_partition, partition_module
-from repro.analysis.reach import MODELED_DEFENSES, cleanstack_layouts
+from repro.analysis.reach import modeled_defenses
 from repro.core.pipeline import compile_source
 from repro.defenses import defense_names, make_defense
+from repro.defenses.cleanstack import cleanstack_layouts
 from repro.fuzz.victims import generate_victim
 from repro.synth.facts import ProgramFacts
 from repro.vm.interpreter import Machine
@@ -135,7 +136,7 @@ class RegistryTest(unittest.TestCase):
         names = defense_names()
         for name in ("cleanstack", "shadowstack"):
             self.assertIn(name, names)
-            self.assertIn(name, MODELED_DEFENSES)
+            self.assertIn(name, modeled_defenses())
 
     def test_unknown_defense_error_lists_registry(self):
         with self.assertRaises(Exception) as caught:
@@ -152,8 +153,8 @@ class RegistryTest(unittest.TestCase):
 
 class AssignmentTest(unittest.TestCase):
     def test_rank_covers_registry_and_ends_at_smokestack(self):
-        self.assertEqual(set(DEFENSE_COST_RANK), set(defense_names()))
-        self.assertEqual(DEFENSE_COST_RANK[-1], "smokestack")
+        self.assertEqual(set(defense_ladder()), set(defense_names()))
+        self.assertEqual(defense_ladder()[-1], "smokestack")
 
     def test_channel_free_program_assigns_none_proven(self):
         facts = ProgramFacts(

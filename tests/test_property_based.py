@@ -439,3 +439,45 @@ def test_defense_layout_families_satisfy_frame_invariants(program, seed):
             assert reach.frame_height(layout) >= sum(
                 slot.size for slot in layout.named_slots()
             ), f"{defense}: frame shorter than its slots"
+
+
+from repro.core.allocations import discover_function  # noqa: E402
+from repro.core.pipeline import Program  # noqa: E402
+from repro.defenses import make_defense  # noqa: E402
+
+
+@settings(max_examples=12, deadline=None)
+@given(frame_programs(), st.integers(min_value=0, max_value=2**16))
+def test_fixed_and_enumerated_families_contain_the_deployed_frame(
+    program, seed
+):
+    """The frame a deployed build really pushes is exactly one member of
+    the defense's declared layout family, for every defense whose family
+    is fixed or enumerated (cleanstack has ``crosscheck_dualstack``)."""
+    source, _ = program
+    reference = Program(source, "prop-deployed")
+    function = reference.module.functions["work"]
+    for name in ("none", "canary", "aslr", "shadowstack", "padding"):
+        defense = make_defense(name)
+        family = defense.frame_layouts(function, module=reference.module)
+        machine = defense.build(source, seed).make_machine()
+        frame = machine.push_probe_frame("work")
+        allocations = discover_function(
+            machine.module.functions["work"]
+        ).allocations
+        names = reach.unique_slot_names(allocations)
+        deployed = frozenset(
+            reach.Slot(
+                names[id(allocation)],
+                frame.alloca_addresses[allocation.alloca] - frame.frame_top,
+                allocation.size,
+            )
+            for allocation in allocations
+        )
+        matches = [
+            layout
+            for layout in family
+            if frozenset(layout.slots) == deployed
+            and layout.has_canary == (frame.canary_addr is not None)
+        ]
+        assert len(matches) == 1, (name, sorted(deployed), family)

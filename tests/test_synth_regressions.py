@@ -204,10 +204,10 @@ class SynthRegressionTest(unittest.TestCase):
         self.assertIsNone(synthesize(facts, goal))
 
         from repro.analysis.exploit import ROBUST, ExploitProver
-        from repro.analysis.reach import MODELED_DEFENSES
+        from repro.analysis.reach import modeled_defenses
 
         prover = ExploitProver(facts)
-        for defense_name in MODELED_DEFENSES:
+        for defense_name in modeled_defenses():
             verdict = prover.prove(goal, defense_name)
             self.assertEqual(verdict.verdict, ROBUST, defense_name)
 
