@@ -13,7 +13,7 @@ from repro.errors import VMError, VMTrap
 from repro.ir.instructions import BinOp, Br, Cast, Cmp, CondBr, Instruction, Phi, Select
 from repro.ir.module import Function, Module
 from repro.ir.values import Constant, Value
-from repro.vm.interpreter import _apply_binop, _apply_cast, _apply_cmp
+from repro.vm.semantics import apply_binop, apply_cast, apply_cmp
 
 
 def _fold_instruction(inst: Instruction) -> Optional[Constant]:
@@ -23,17 +23,17 @@ def _fold_instruction(inst: Instruction) -> Optional[Constant]:
         return None
     try:
         if isinstance(inst, BinOp):
-            value = _apply_binop(
+            value = apply_binop(
                 inst.op, operands[0].value, operands[1].value, inst.ctype
             )
             return Constant(inst.ctype, value)
         if isinstance(inst, Cmp):
-            value = _apply_cmp(
+            value = apply_cmp(
                 inst.op, operands[0].value, operands[1].value, operands[0].ctype
             )
             return Constant(inst.ctype, value)
         if isinstance(inst, Cast):
-            value = _apply_cast(
+            value = apply_cast(
                 inst.kind, operands[0].value, operands[0].ctype, inst.ctype
             )
             return Constant(inst.ctype, value)

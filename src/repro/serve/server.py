@@ -32,10 +32,12 @@ from __future__ import annotations
 
 import asyncio
 import json
+import multiprocessing
 import threading
 import time
 from concurrent import futures
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
@@ -121,6 +123,19 @@ class ReproServer:
                 self._pool.submit(warmup) for _ in range(self.config.workers)
             ]:
                 future.result()
+
+    def _replace_broken_pool(self, broken) -> None:
+        """Replace a pool that a dead worker broke (it refuses every later
+        submit); concurrent failures on one pool rebuild it once.  The new
+        workers start on their first job, from ``spawn`` because this
+        process has threads by now."""
+        if self._pool is not broken:
+            return
+        broken.shutdown(wait=False, cancel_futures=True)
+        self._pool = ProcessPoolExecutor(
+            max_workers=self.config.workers,
+            mp_context=multiprocessing.get_context("spawn"),
+        )
 
     async def start(self) -> None:
         self.start_pool()
@@ -295,12 +310,13 @@ class ReproServer:
         registry.gauge("serve_inflight").set(self._inflight)
         loop = asyncio.get_running_loop()
         error = None
+        pool = self._pool
         try:
             # Hold the concurrent future directly: cancellation semantics
             # ("only if not yet started") live there, not on the asyncio
             # wrapper wait_for cancels.  submit() itself raises once the
             # pool is broken, so it sits inside the try too.
-            pool_future = self._pool.submit(handle_job, job)
+            pool_future = pool.submit(handle_job, job)
             out = await asyncio.wait_for(
                 asyncio.wrap_future(pool_future), timeout=timeout
             )
@@ -323,6 +339,8 @@ class ReproServer:
                 request_id, "timeout", f"'{op}' exceeded {timeout:.3f}s deadline"
             )
         except Exception as exc:  # noqa: BLE001 - pool/broken-process errors
+            if isinstance(exc, BrokenProcessPool):
+                self._replace_broken_pool(pool)
             self._count_error("internal")
             error = protocol.error_response(
                 request_id,

@@ -23,6 +23,12 @@ entry — into a list of *step* closures, one per instruction, with
 * branch edges carrying their phi parallel-copy plan pre-resolved for
   the specific source block.
 
+What an arithmetic step computes is not defined here: BinOp, Cmp, Cast,
+ElemPtr/FieldPtr and the SSA coercion are lambdas built from the fast
+forms in :mod:`repro.vm.semantics`, the same source text the JIT
+inlines.  The reference copy of those rules is the ``apply_*`` functions
+in that module, which the executor-table engine runs.
+
 The machine's ``fast_dispatch=False`` escape hatch keeps the original
 executor-table path; the test suite asserts both produce bit-identical
 :class:`ExecutionResult` fields on every workload.
@@ -35,12 +41,10 @@ from typing import Callable, Dict, List
 from repro.errors import IRError, VMError, VMFault, VMTrap
 from repro.ir import instructions as ir
 from repro.ir.values import Constant, GlobalVariable, Value
-from repro.minic import types as ct
+from repro.vm import semantics
 from repro.vm.costs import DYNAMIC_ALLOCA_UNITS
-from repro.vm.floatmath import float_to_int_operand, round_f32
 from repro.vm.memory import DATA_BASE, HEAP_BASE
-
-_U64 = (1 << 64) - 1
+from repro.vm.semantics import U64
 
 #: Sentinel for "operand is not a compile-time-foldable value".
 _UNFOLDED = object()
@@ -91,179 +95,6 @@ def _undefined(frame, value: Value):
     ) from None
 
 
-def _int_wrap(ctype: ct.CType):
-    """Type-specialised equivalent of ``interpreter._wrap_int``."""
-    bits = ctype.size() * 8
-    mask = (1 << bits) - 1
-    if getattr(ctype, "signed", False):
-        sign = 1 << (bits - 1)
-        span = 1 << bits
-
-        def wrap(value: int) -> int:
-            value &= mask
-            return value - span if value >= sign else value
-
-        return wrap
-
-    def wrap_unsigned(value: int) -> int:
-        return value & mask
-
-    return wrap_unsigned
-
-
-def _binop_impl(op: str, result_type: ct.CType):
-    """Specialised two-argument implementation of one BinOp opcode.
-
-    Must agree exactly with ``interpreter._apply_binop`` — the
-    equivalence tests run every workload through both.
-    """
-    if op in ("fadd", "fsub", "fmul", "fdiv"):
-        # float-typed results round to binary32 per operation (matching
-        # interpreter._apply_binop); double results stay unrounded.
-        if op == "fadd":
-            impl = lambda a, b: float(a) + float(b)  # noqa: E731
-        elif op == "fsub":
-            impl = lambda a, b: float(a) - float(b)  # noqa: E731
-        elif op == "fmul":
-            impl = lambda a, b: float(a) * float(b)  # noqa: E731
-        else:
-
-            def impl(a, b):
-                denominator = float(b)
-                if denominator == 0.0:
-                    return float("inf") if float(a) > 0 else float("-inf")
-                return float(a) / denominator
-
-        if result_type.size() == 4:
-            return lambda a, b: round_f32(impl(a, b))
-        return impl
-
-    wrap = _int_wrap(result_type)
-    bits = result_type.size() * 8
-    mask = (1 << bits) - 1
-
-    if op == "add":
-        return lambda a, b: wrap(int(a) + int(b))
-    if op == "sub":
-        return lambda a, b: wrap(int(a) - int(b))
-    if op == "mul":
-        return lambda a, b: wrap(int(a) * int(b))
-    if op == "and":
-        return lambda a, b: wrap(int(a) & int(b))
-    if op == "or":
-        return lambda a, b: wrap(int(a) | int(b))
-    if op == "xor":
-        return lambda a, b: wrap(int(a) ^ int(b))
-    if op in ("sdiv", "srem"):
-        want_div = op == "sdiv"
-
-        def signed_div(a, b):
-            a, b = int(a), int(b)
-            if b == 0:
-                raise VMTrap("integer division by zero")
-            quotient = abs(a) // abs(b)
-            if (a < 0) != (b < 0):
-                quotient = -quotient
-            if want_div:
-                return wrap(quotient)
-            return wrap(a - quotient * b)
-
-        return signed_div
-    if op in ("udiv", "urem"):
-        want_div = op == "udiv"
-
-        def unsigned_div(a, b):
-            a = int(a) & mask
-            b = int(b) & mask
-            if b == 0:
-                raise VMTrap("integer division by zero")
-            return wrap(a // b if want_div else a % b)
-
-        return unsigned_div
-    if op == "shl":
-        shift_mask = bits - 1
-        return lambda a, b: wrap(int(a) << (int(b) & shift_mask))
-    if op == "lshr":
-        shift_mask = bits - 1
-        return lambda a, b: wrap((int(a) & mask) >> (int(b) & shift_mask))
-    if op == "ashr":
-        shift_mask = bits - 1
-        return lambda a, b: wrap(int(a) >> (int(b) & shift_mask))
-    raise VMError(f"unknown binop '{op}'")
-
-
-_FLOAT_CMPS = {
-    "feq": lambda a, b: a == b,
-    "fne": lambda a, b: a != b,
-    "flt": lambda a, b: a < b,
-    "fle": lambda a, b: a <= b,
-    "fgt": lambda a, b: a > b,
-    "fge": lambda a, b: a >= b,
-}
-
-_ORDER_CMPS = {
-    "lt": lambda a, b: a < b,
-    "le": lambda a, b: a <= b,
-    "gt": lambda a, b: a > b,
-    "ge": lambda a, b: a >= b,
-}
-
-
-def _cmp_impl(op: str, operand_type: ct.CType):
-    """Specialised comparison matching ``interpreter._apply_cmp``."""
-    if op.startswith("f"):
-        compare = _FLOAT_CMPS[op]
-        return lambda a, b: int(compare(float(a), float(b)))
-    if op == "eq":
-        return lambda a, b: int(int(a) == int(b))
-    if op == "ne":
-        return lambda a, b: int(int(a) != int(b))
-    compare = _ORDER_CMPS[op[1:]]
-    if op[0] == "u" or operand_type.is_pointer():
-        if operand_type.is_integer():
-            mask = (1 << (operand_type.size() * 8)) - 1
-        else:
-            mask = _U64
-        return lambda a, b: int(compare(int(a) & mask, int(b) & mask))
-    return lambda a, b: int(compare(int(a), int(b)))
-
-
-def _cast_impl(kind: str, from_type: ct.CType, to_type: ct.CType):
-    """Specialised conversion matching ``interpreter._apply_cast``."""
-    if kind in ("trunc", "zext", "sext", "bitcast", "ptrtoint", "inttoptr"):
-        if kind == "zext":
-            from_mask = (1 << (from_type.size() * 8)) - 1
-            if to_type.is_pointer():
-                return lambda v: (int(v) & from_mask) & _U64
-            if to_type.is_integer():
-                wrap = _int_wrap(to_type)
-                return lambda v: wrap(int(v) & from_mask)
-            return lambda v: int(v) & from_mask
-        if to_type.is_pointer():
-            return lambda v: int(v) & _U64
-        if to_type.is_integer():
-            wrap = _int_wrap(to_type)
-            return lambda v: wrap(int(v))
-        return lambda v: v
-    if kind in ("fptosi", "fptoui"):
-        wrap = _int_wrap(to_type)
-        return lambda v: wrap(int(float_to_int_operand(float(v))))
-    if kind == "sitofp":
-        if to_type.size() == 4:
-            return lambda v: round_f32(float(int(v)))
-        return lambda v: float(int(v))
-    if kind == "uitofp":
-        from_mask = (1 << (from_type.size() * 8)) - 1
-        if to_type.size() == 4:
-            return lambda v: round_f32(float(int(v) & from_mask))
-        return lambda v: float(int(v) & from_mask)
-    if kind == "fpext":
-        return lambda v: float(v)
-    if kind == "fptrunc":
-        return lambda v: round_f32(float(v))
-    raise VMError(f"unknown cast '{kind}'")
-
-
 class Decoder:
     """Per-machine block compiler with a block -> code cache.
 
@@ -279,11 +110,11 @@ class Decoder:
             ir.Alloca: self._decode_alloca,
             ir.Load: self._decode_load,
             ir.Store: self._decode_store,
-            ir.ElemPtr: self._decode_elemptr,
-            ir.FieldPtr: self._decode_fieldptr,
-            ir.BinOp: self._decode_binop,
-            ir.Cmp: self._decode_cmp,
-            ir.Cast: self._decode_cast,
+            ir.ElemPtr: self._decode_value,
+            ir.FieldPtr: self._decode_value,
+            ir.BinOp: self._decode_value,
+            ir.Cmp: self._decode_value,
+            ir.Cast: self._decode_value,
             ir.Select: self._decode_select,
             ir.Call: self._decode_call,
             ir.Phi: self._decode_phi,
@@ -352,16 +183,28 @@ class Decoder:
 
         return get
 
-    def _coercer(self, ctype: ct.CType):
-        """Type-specialised equivalent of ``Machine._coerce``."""
-        if ctype.is_float():
-            return lambda v: 0 if v is None else float(v)
-        if ctype.is_pointer():
-            return lambda v: 0 if v is None else int(v) & _U64
-        if ctype.is_integer():
-            wrap = _int_wrap(ctype)
-            return lambda v: 0 if v is None else wrap(int(v))
-        return lambda v: 0 if v is None else v
+    def _unary_step(self, inst, value: Value, units: int, impl) -> Step:
+        """A step computing ``impl(value)`` with inlined operand fetch."""
+        cost = self.machine.cost
+        folded = self._folded(value)
+        if folded is not _UNFOLDED:
+
+            def step(frame, inst=inst):
+                cost.cycle_units += units
+                frame.env[inst] = impl(folded)
+
+            return step
+
+        def step(frame, inst=inst, value=value):
+            cost.cycle_units += units
+            env = frame.env
+            try:
+                operand = env[value]
+            except KeyError:
+                _undefined(frame, value)
+            env[inst] = impl(operand)
+
+        return step
 
     def _binary_step(self, inst, units: int, impl) -> Step:
         """A step computing ``impl(lhs, rhs)`` with inlined operand fetch.
@@ -593,7 +436,7 @@ class Decoder:
         if ctype.is_pointer():
             size = 8
             write_int = memory.write_int
-            convert = lambda v: int(v) & _U64  # noqa: E731
+            convert = lambda v: int(v) & U64  # noqa: E731
         elif ctype.is_integer():
             size = ctype.size()
             write_int = memory.write_int
@@ -763,7 +606,7 @@ class Decoder:
                 cost.cycle_units += units
                 address = pointer_get(frame)
                 stored = value_get(frame)
-                memory.write_int(int(address), int(stored) & _U64, 8)
+                memory.write_int(int(address), int(stored) & U64, 8)
 
             return step
         if ctype.is_integer():
@@ -785,68 +628,11 @@ class Decoder:
 
         return step
 
-    def _decode_elemptr(self, inst: ir.ElemPtr, function, units: int) -> Step:
-        element_size = inst.element_type.size()
-        return self._binary_step(
-            inst,
-            units,
-            lambda base, index: (int(base) + int(index) * element_size) & _U64,
-        )
-
-    def _decode_fieldptr(self, inst: ir.FieldPtr, function, units: int) -> Step:
-        cost = self.machine.cost
-        base = inst.base
-        folded = self._folded(base)
-        offset = inst.byte_offset
-        if folded is not _UNFOLDED:
-            address = (int(folded) + offset) & _U64
-
-            def step(frame, inst=inst):
-                cost.cycle_units += units
-                frame.env[inst] = address
-
-            return step
-
-        def step(frame, inst=inst, base=base):
-            cost.cycle_units += units
-            env = frame.env
-            try:
-                value = env[base]
-            except KeyError:
-                _undefined(frame, base)
-            env[inst] = (int(value) + offset) & _U64
-
-        return step
-
-    def _decode_binop(self, inst: ir.BinOp, function, units: int) -> Step:
-        return self._binary_step(inst, units, _binop_impl(inst.op, inst.ctype))
-
-    def _decode_cmp(self, inst: ir.Cmp, function, units: int) -> Step:
-        return self._binary_step(inst, units, _cmp_impl(inst.op, inst.lhs.ctype))
-
-    def _decode_cast(self, inst: ir.Cast, function, units: int) -> Step:
-        cost = self.machine.cost
-        value = inst.value
-        impl = _cast_impl(inst.kind, value.ctype, inst.ctype)
-        folded = self._folded(value)
-        if folded is not _UNFOLDED:
-
-            def step(frame, inst=inst):
-                cost.cycle_units += units
-                frame.env[inst] = impl(folded)
-
-            return step
-
-        def step(frame, inst=inst, value=value):
-            cost.cycle_units += units
-            env = frame.env
-            try:
-                operand = env[value]
-            except KeyError:
-                _undefined(frame, value)
-            env[inst] = impl(operand)
-
-        return step
+    def _decode_value(self, inst, function, units: int) -> Step:
+        impl = semantics.value_fn(inst)
+        if len(inst.operands) == 2:
+            return self._binary_step(inst, units, impl)
+        return self._unary_step(inst, inst.operands[0], units, impl)
 
     def _decode_select(self, inst: ir.Select, function, units: int) -> Step:
         cost = self.machine.cost
@@ -891,7 +677,7 @@ class Decoder:
 
             return step
         if inst.has_result():
-            coerce = self._coercer(inst.ctype)
+            coerce = semantics.coercer(inst.ctype)
 
             def step(frame, inst=inst):
                 cost.cycle_units += units
@@ -935,7 +721,7 @@ class Decoder:
                     raise IRError(message)
 
                 return enter
-            plans.append((inst, get, self._coercer(inst.ctype)))
+            plans.append((inst, get, semantics.coercer(inst.ctype)))
         leading = len(plans)
         code_for = self.code_for
         target_code = None

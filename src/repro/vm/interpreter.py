@@ -46,7 +46,6 @@ from repro.ir.values import Argument, Constant, GlobalVariable, Value
 from repro.minic import types as ct
 from repro.vm.costs import CostModel
 from repro.vm.decode import Decoder, FellOffBlock
-from repro.vm.floatmath import float_to_int_operand, round_f32
 from repro.vm.jit import (
     JIT_TIER_UP_STEPS,
     JitEngine,
@@ -58,9 +57,9 @@ from repro.vm.jit import (
 )
 from repro.vm.memory import STACK_TOP, Memory
 from repro.vm.process import ProcessImage, install_missing_globals, load
+from repro.vm.semantics import U64, apply_binop, apply_cast, apply_cmp, coercer
 
 DEFAULT_MAX_STEPS = 50_000_000
-_U64 = (1 << 64) - 1
 
 
 class _ExitProgram(Exception):
@@ -240,7 +239,12 @@ class Machine:
         (:mod:`repro.vm.decode`): basic blocks are compiled once, on
         first entry, into pre-bound step closures.  ``False`` falls back
         to the original executor-table interpreter; both paths produce
-        bit-identical :class:`ExecutionResult` fields.
+        bit-identical :class:`ExecutionResult` fields.  What each
+        arithmetic, comparison and cast opcode computes lives in
+        :mod:`repro.vm.semantics`: the predecoder and the JIT build
+        their code from its fast forms, while the executor table calls
+        its reference functions (``apply_binop``/``apply_cmp``/
+        ``apply_cast``), the copy the others are tested against.
     jit:
         When to run through the IR→Python JIT (:mod:`repro.vm.jit`),
         which compiles functions into Python closures with per-block
@@ -614,7 +618,7 @@ class Machine:
             self._sp = caller.sp
             call_site = frame.call_site
             if call_site is not None and call_site.has_result():
-                caller.env[call_site] = self._coerce(return_value, call_site.ctype)
+                caller.env[call_site] = coercer(call_site.ctype)(return_value)
         else:
             self._sp = self._stack_top
             self._final_return = return_value
@@ -631,7 +635,7 @@ class Machine:
         depth = len(self.frames)
         mixed = (base + 1) * 0x9E3779B97F4A7C15 + caller_base * 0xBF58476D1CE4E5B9
         mixed ^= depth * 0x94D049BB133111EB
-        return (mixed ^ self._cookie_seed) & _U64
+        return (mixed ^ self._cookie_seed) & U64
 
     # -- main loop ---------------------------------------------------------------------
 
@@ -771,17 +775,6 @@ class Machine:
                 f"'{frame.function.name}' (block not yet executed?)"
             ) from None
 
-    def _coerce(self, value, ctype: ct.CType):
-        if value is None:
-            return 0
-        if ctype.is_float():
-            return float(value)
-        if ctype.is_pointer():
-            return int(value) & _U64
-        if ctype.is_integer():
-            return _wrap_int(int(value), ctype)
-        return value
-
     # -- executors --------------------------------------------------------------------------
 
     def _build_executor_table(self):
@@ -840,7 +833,7 @@ class Machine:
 
     def _write_typed(self, address: int, value, ctype: ct.CType) -> None:
         if ctype.is_pointer():
-            self.memory.write_int(address, int(value) & _U64, 8)
+            self.memory.write_int(address, int(value) & U64, 8)
         elif ctype.is_float():
             self.memory.write_float(address, float(value), ctype.size())
         elif ctype.is_integer():
@@ -851,25 +844,25 @@ class Machine:
     def _exec_elemptr(self, frame: Frame, inst: ir.ElemPtr) -> None:
         base = int(self._value(frame, inst.base))
         index = int(self._value(frame, inst.index))
-        frame.env[inst] = (base + index * inst.element_type.size()) & _U64
+        frame.env[inst] = (base + index * inst.element_type.size()) & U64
 
     def _exec_fieldptr(self, frame: Frame, inst: ir.FieldPtr) -> None:
         base = int(self._value(frame, inst.base))
-        frame.env[inst] = (base + inst.byte_offset) & _U64
+        frame.env[inst] = (base + inst.byte_offset) & U64
 
     def _exec_binop(self, frame: Frame, inst: ir.BinOp) -> None:
         lhs = self._value(frame, inst.lhs)
         rhs = self._value(frame, inst.rhs)
-        frame.env[inst] = _apply_binop(inst.op, lhs, rhs, inst.ctype)
+        frame.env[inst] = apply_binop(inst.op, lhs, rhs, inst.ctype)
 
     def _exec_cmp(self, frame: Frame, inst: ir.Cmp) -> None:
         lhs = self._value(frame, inst.lhs)
         rhs = self._value(frame, inst.rhs)
-        frame.env[inst] = _apply_cmp(inst.op, lhs, rhs, inst.lhs.ctype)
+        frame.env[inst] = apply_cmp(inst.op, lhs, rhs, inst.lhs.ctype)
 
     def _exec_cast(self, frame: Frame, inst: ir.Cast) -> None:
         value = self._value(frame, inst.value)
-        frame.env[inst] = _apply_cast(inst.kind, value, inst.value.ctype, inst.ctype)
+        frame.env[inst] = apply_cast(inst.kind, value, inst.value.ctype, inst.ctype)
 
     def _exec_select(self, frame: Frame, inst: ir.Select) -> None:
         cond, a, b = (self._value(frame, op) for op in inst.operands)
@@ -900,7 +893,7 @@ class Machine:
                 (inst, self._value(frame, inst.incoming_for(source)))
             )
         for phi, value in values:
-            frame.env[phi] = self._coerce(value, phi.ctype)
+            frame.env[phi] = coercer(phi.ctype)(value)
         frame.block = target
         frame.inst_index = leading
 
@@ -933,7 +926,7 @@ class Machine:
             raise VMError(f"call to unknown builtin '{callee}'")
         result = handler(args)
         if inst.has_result():
-            frame.env[inst] = self._coerce(result, inst.ctype)
+            frame.env[inst] = coercer(inst.ctype)(result)
 
     # -- builtins ---------------------------------------------------------------------------
 
@@ -1117,15 +1110,15 @@ class Machine:
         # xorshift64*: deterministic workload-data generator (guest-visible,
         # unrelated to Smokestack's security randomness).
         state = self._guest_rng_state
-        state ^= (state >> 12) & _U64
-        state ^= (state << 25) & _U64
-        state ^= (state >> 27) & _U64
-        state &= _U64
+        state ^= (state >> 12) & U64
+        state ^= (state << 25) & U64
+        state ^= (state >> 27) & U64
+        state &= U64
         self._guest_rng_state = state or 0x9E3779B97F4A7C15
         return (state * 0x2545F4914F6CDD1D) & ((1 << 63) - 1)
 
     def _bi_guest_srand(self, args) -> None:
-        self._guest_rng_state = (int(args[0]) & _U64) or 0x9E3779B97F4A7C15
+        self._guest_rng_state = (int(args[0]) & U64) or 0x9E3779B97F4A7C15
 
     def _bi_ss_rand(self, args) -> int:
         if self.rng_source is None:
@@ -1134,7 +1127,7 @@ class Machine:
                 "to Machine(rng_source=...)"
             )
         self.cost.charge(self.rng_source.cycles_per_call)
-        return self.rng_source.generate(self) & _U64
+        return self.rng_source.generate(self) & U64
 
     def _bi_ss_fail(self, args) -> None:
         function_name = self.frames[-1].function.name if self.frames else "?"
@@ -1150,121 +1143,3 @@ class Machine:
 
 def _align_down(value: int, alignment: int) -> int:
     return value - (value % alignment)
-
-
-def _wrap_int(value: int, ctype: ct.CType) -> int:
-    bits = ctype.size() * 8
-    value &= (1 << bits) - 1
-    if getattr(ctype, "signed", False) and value >= 1 << (bits - 1):
-        value -= 1 << bits
-    return value
-
-
-def _to_unsigned(value: int, ctype: ct.CType) -> int:
-    bits = ctype.size() * 8
-    return value & ((1 << bits) - 1)
-
-
-def _apply_binop(op: str, lhs, rhs, result_type: ct.CType):
-    if op == "add":
-        return _wrap_int(int(lhs) + int(rhs), result_type)
-    if op == "sub":
-        return _wrap_int(int(lhs) - int(rhs), result_type)
-    if op == "mul":
-        return _wrap_int(int(lhs) * int(rhs), result_type)
-    if op in ("sdiv", "srem"):
-        a, b = int(lhs), int(rhs)
-        if b == 0:
-            raise VMTrap("integer division by zero")
-        quotient = abs(a) // abs(b)
-        if (a < 0) != (b < 0):
-            quotient = -quotient
-        if op == "sdiv":
-            return _wrap_int(quotient, result_type)
-        return _wrap_int(a - quotient * b, result_type)
-    if op in ("udiv", "urem"):
-        a = _to_unsigned(int(lhs), result_type)
-        b = _to_unsigned(int(rhs), result_type)
-        if b == 0:
-            raise VMTrap("integer division by zero")
-        return _wrap_int(a // b if op == "udiv" else a % b, result_type)
-    if op == "and":
-        return _wrap_int(int(lhs) & int(rhs), result_type)
-    if op == "or":
-        return _wrap_int(int(lhs) | int(rhs), result_type)
-    if op == "xor":
-        return _wrap_int(int(lhs) ^ int(rhs), result_type)
-    if op in ("shl", "lshr", "ashr"):
-        bits = result_type.size() * 8
-        shift = int(rhs) & (bits - 1)
-        if op == "shl":
-            return _wrap_int(int(lhs) << shift, result_type)
-        if op == "lshr":
-            return _wrap_int(_to_unsigned(int(lhs), result_type) >> shift, result_type)
-        return _wrap_int(int(lhs) >> shift, result_type)
-    if op in ("fadd", "fsub", "fmul", "fdiv"):
-        if op == "fadd":
-            result = float(lhs) + float(rhs)
-        elif op == "fsub":
-            result = float(lhs) - float(rhs)
-        elif op == "fmul":
-            result = float(lhs) * float(rhs)
-        else:
-            denominator = float(rhs)
-            if denominator == 0.0:
-                result = float("inf") if float(lhs) > 0 else float("-inf")
-            else:
-                result = float(lhs) / denominator
-        # float-typed results round to binary32 per operation, exactly as
-        # SSE hardware does; see repro.vm.floatmath.
-        if result_type.size() == 4:
-            return round_f32(result)
-        return result
-    raise VMError(f"unknown binop '{op}'")
-
-
-def _apply_cmp(op: str, lhs, rhs, operand_type: ct.CType) -> int:
-    if op.startswith("f"):
-        a, b = float(lhs), float(rhs)
-        table = {
-            "feq": a == b, "fne": a != b,
-            "flt": a < b, "fle": a <= b, "fgt": a > b, "fge": a >= b,
-        }
-        return int(table[op])
-    if op in ("eq", "ne"):
-        equal = int(lhs) == int(rhs)
-        return int(equal if op == "eq" else not equal)
-    if op[0] == "u" or operand_type.is_pointer():
-        a = _to_unsigned(int(lhs), operand_type) if operand_type.is_integer() else int(lhs) & _U64
-        b = _to_unsigned(int(rhs), operand_type) if operand_type.is_integer() else int(rhs) & _U64
-    else:
-        a, b = int(lhs), int(rhs)
-    suffix = op[1:]
-    table = {
-        "lt": a < b, "le": a <= b, "gt": a > b, "ge": a >= b,
-    }
-    return int(table[suffix])
-
-
-def _apply_cast(kind: str, value, from_type: ct.CType, to_type: ct.CType):
-    if kind in ("trunc", "zext", "sext", "bitcast", "ptrtoint", "inttoptr"):
-        if kind == "zext":
-            value = _to_unsigned(int(value), from_type)
-        if to_type.is_pointer():
-            return int(value) & _U64
-        if to_type.is_integer():
-            return _wrap_int(int(value), to_type)
-        return value
-    if kind in ("fptosi", "fptoui"):
-        return _wrap_int(int(float_to_int_operand(float(value))), to_type)
-    if kind in ("sitofp",):
-        result = float(int(value))
-        return round_f32(result) if to_type.size() == 4 else result
-    if kind == "uitofp":
-        result = float(_to_unsigned(int(value), from_type))
-        return round_f32(result) if to_type.size() == 4 else result
-    if kind == "fpext":
-        return float(value)
-    if kind == "fptrunc":
-        return round_f32(float(value))
-    raise VMError(f"unknown cast '{kind}'")

@@ -19,6 +19,9 @@ closure cells:
   and cycle units are bumped **once per block** with precomputed
   totals (the same integer units the other two engines charge, so
   totals stay bit-identical);
+* arithmetic, comparisons, casts, address computation and phi
+  coercion are the fast-form text of :mod:`repro.vm.semantics`, inlined
+  (the predecoder ``eval``\\ s the same text into its step lambdas);
 * blocks dispatch through a small ``while 1: if _b == N:`` loop;
   branch edges carry their phi parallel copies as tuple assignments;
 * guest calls recurse into the callee's compiled body through
@@ -74,12 +77,10 @@ from weakref import WeakKeyDictionary
 from repro.errors import IRError, VMError, VMFault, VMTrap
 from repro.ir import instructions as ir
 from repro.ir.values import Constant, GlobalVariable, Value
+from repro.vm import semantics
 from repro.vm.costs import DYNAMIC_ALLOCA_UNITS
-from repro.vm.decode import _binop_impl, _cast_impl, _int_wrap
-from repro.vm.floatmath import round_f32
 from repro.vm.memory import DATA_BASE, HEAP_BASE
-
-_U64 = (1 << 64) - 1
+from repro.vm.semantics import U64
 
 #: Python recursion headroom for jitted guest calls: the VM caps guest
 #: call depth at 4096 and each guest call costs two Python frames
@@ -243,18 +244,6 @@ def _unreachable(frame):
 
 def _negative_alloca(frame, count):
     raise VMFault("bad-alloca", frame.sp, f"negative VLA length {count}")
-
-
-def _make_coercer(ctype):
-    """Type-specialised ``Machine._coerce`` (for builtin call results)."""
-    if ctype.is_float():
-        return lambda v: 0 if v is None else float(v)
-    if ctype.is_pointer():
-        return lambda v: 0 if v is None else int(v) & _U64
-    if ctype.is_integer():
-        wrap = _int_wrap(ctype)
-        return lambda v: 0 if v is None else wrap(int(v))
-    return lambda v: 0 if v is None else v
 
 
 # -- the per-module code cache ------------------------------------------------------
@@ -436,24 +425,6 @@ class _FunctionCompiler:
         if name is None:
             raise _CompileUnsupported("foreign-operand")
         return name
-
-    def _wrap_src(self, expr: str, ctype) -> str:
-        bits = ctype.size() * 8
-        mask = (1 << bits) - 1
-        if getattr(ctype, "signed", False):
-            sign = 1 << (bits - 1)
-            return f"(((({expr}) + {sign}) & {mask}) - {sign})"
-        return f"(({expr}) & {mask})"
-
-    def _coerce_src(self, expr: str, ctype) -> str:
-        """Source form of ``Machine._coerce`` (operand known non-None)."""
-        if ctype.is_float():
-            return f"float({expr})"
-        if ctype.is_pointer():
-            return f"(({expr}) & {_U64})"
-        if ctype.is_integer():
-            return self._wrap_src(expr, ctype)
-        return expr
 
     # -- line emission --------------------------------------------------------------
 
@@ -697,7 +668,7 @@ class _FunctionCompiler:
             return
         if ctype.is_pointer():
             size = 8
-            value = f"({value}) & {_U64}"
+            value = f"({value}) & {U64}"
         elif ctype.is_integer():
             size = ctype.size()
         else:
@@ -725,101 +696,10 @@ class _FunctionCompiler:
         self._line(16, "else:")
         self._line(20, f"_WR(_t, _u, {size})")
 
-    def _emit_elemptr(self, inst: ir.ElemPtr) -> None:
-        name = self.names[id(inst)]
-        base = self._expr(inst.base)
-        index = self._expr(inst.index)
-        element_size = inst.element_type.size()
-        scaled = f"({index})" if element_size == 1 else f"({index}) * {element_size}"
-        self._line(16, f"{name} = (({base}) + {scaled}) & {_U64}")
-
-    def _emit_fieldptr(self, inst: ir.FieldPtr) -> None:
-        name = self.names[id(inst)]
-        base = self._expr(inst.base)
-        self._line(16, f"{name} = (({base}) + {inst.byte_offset}) & {_U64}")
-
-    _FLOAT_OPS = {"fadd": "+", "fsub": "-", "fmul": "*"}
-    _INT_OPS = {"add": "+", "sub": "-", "mul": "*", "and": "&", "or": "|", "xor": "^"}
-
-    def _emit_binop(self, inst: ir.BinOp) -> None:
-        name = self.names[id(inst)]
-        op = inst.op
-        result_type = inst.ctype
-        a = self._expr(inst.lhs)
-        b = self._expr(inst.rhs)
-        symbol = self._INT_OPS.get(op)
-        if symbol is not None:
-            self._line(
-                16,
-                f"{name} = {self._wrap_src(f'({a}) {symbol} ({b})', result_type)}",
-            )
-            return
-        if op in ("shl", "lshr", "ashr"):
-            bits = result_type.size() * 8
-            mask = (1 << bits) - 1
-            shift = f"(({b}) & {bits - 1})"
-            if op == "shl":
-                raw = f"({a}) << {shift}"
-            elif op == "lshr":
-                raw = f"((({a}) & {mask}) >> {shift})"
-            else:
-                raw = f"({a}) >> {shift}"
-            self._line(16, f"{name} = {self._wrap_src(raw, result_type)}")
-            return
-        symbol = self._FLOAT_OPS.get(op)
-        if symbol is not None:
-            raw = f"({a}) {symbol} ({b})"
-            if result_type.size() == 4:
-                raw = f"_F32({raw})"
-            self._line(16, f"{name} = {raw}")
-            return
-        # sdiv/srem/udiv/urem (trap on zero) and fdiv (inf semantics)
-        # share the decoder's specialised impls exactly.
-        impl = self._const_cell(_binop_impl(op, result_type))
-        self._line(16, f"{name} = {impl}({a}, {b})")
-
-    def _emit_cmp(self, inst: ir.Cmp) -> None:
-        name = self.names[id(inst)]
-        op = inst.op
-        a = self._expr(inst.lhs)
-        b = self._expr(inst.rhs)
-        operand_type = inst.lhs.ctype
-        if op.startswith("f"):
-            symbol = {"feq": "==", "fne": "!=", "flt": "<",
-                      "fle": "<=", "fgt": ">", "fge": ">="}[op]
-        elif op in ("eq", "ne"):
-            symbol = "==" if op == "eq" else "!="
-        else:
-            symbol = {"lt": "<", "le": "<=", "gt": ">", "ge": ">="}[op[1:]]
-            if op[0] == "u" or operand_type.is_pointer():
-                if operand_type.is_integer():
-                    mask = (1 << (operand_type.size() * 8)) - 1
-                else:
-                    mask = _U64
-                a = f"(({a}) & {mask})"
-                b = f"(({b}) & {mask})"
-        self._line(16, f"{name} = 1 if ({a}) {symbol} ({b}) else 0")
-
-    def _emit_cast(self, inst: ir.Cast) -> None:
-        name = self.names[id(inst)]
-        value = self._expr(inst.value)
-        kind = inst.kind
-        to_type = inst.ctype
-        if kind in ("trunc", "zext", "sext", "bitcast", "ptrtoint", "inttoptr"):
-            if kind == "zext":
-                from_mask = (1 << (inst.value.ctype.size() * 8)) - 1
-                inner = f"(({value}) & {from_mask})"
-            else:
-                inner = f"({value})"
-            if to_type.is_pointer():
-                self._line(16, f"{name} = {inner} & {_U64}")
-            elif to_type.is_integer():
-                self._line(16, f"{name} = {self._wrap_src(inner, to_type)}")
-            else:
-                self._line(16, f"{name} = {inner}")
-            return
-        impl = self._const_cell(_cast_impl(kind, inst.value.ctype, to_type))
-        self._line(16, f"{name} = {impl}({value})")
+    def _emit_value(self, inst) -> None:
+        operands = [self._expr(operand) for operand in inst.operands]
+        value = semantics.value_src(inst, operands)
+        self._line(16, f"{self.names[id(inst)]} = {value}")
 
     def _emit_select(self, inst: ir.Select) -> None:
         name = self.names[id(inst)]
@@ -866,7 +746,7 @@ class _FunctionCompiler:
         handler = self._builtin_cell(callee)
         if inst.has_result():
             name = self.names[id(inst)]
-            coerce = self._const_cell(_make_coercer(inst.ctype))
+            coerce = self._const_cell(semantics.coercer(inst.ctype))
             self._line(16, f"{name} = {coerce}({handler}(({args})))")
         else:
             self._line(16, f"{handler}(({args}))")
@@ -890,7 +770,7 @@ class _FunctionCompiler:
                 except IRError:
                     raise _CompileUnsupported("phi-edge-error") from None
                 targets.append(self.names[id(phi)])
-                sources.append(self._coerce_src(self._expr(incoming), phi.ctype))
+                sources.append(semantics.coerce_src(self._expr(incoming), phi.ctype))
             statements.append(f"{', '.join(targets)} = {', '.join(sources)}")
         index = self.block_index.get(id(target_block))
         if index is None:
@@ -987,11 +867,11 @@ _EMITTERS = {
     ir.Alloca: _FunctionCompiler._emit_alloca,
     ir.Load: _FunctionCompiler._emit_load,
     ir.Store: _FunctionCompiler._emit_store,
-    ir.ElemPtr: _FunctionCompiler._emit_elemptr,
-    ir.FieldPtr: _FunctionCompiler._emit_fieldptr,
-    ir.BinOp: _FunctionCompiler._emit_binop,
-    ir.Cmp: _FunctionCompiler._emit_cmp,
-    ir.Cast: _FunctionCompiler._emit_cast,
+    ir.ElemPtr: _FunctionCompiler._emit_value,
+    ir.FieldPtr: _FunctionCompiler._emit_value,
+    ir.BinOp: _FunctionCompiler._emit_value,
+    ir.Cmp: _FunctionCompiler._emit_value,
+    ir.Cast: _FunctionCompiler._emit_value,
     ir.Select: _FunctionCompiler._emit_select,
     ir.Call: _FunctionCompiler._emit_call,
     ir.Phi: _FunctionCompiler._emit_phi,
@@ -1025,7 +905,7 @@ class JitEngine:
             "_CALL": self._call,
             "_POP": machine._pop_frame,
             "_FB": int.from_bytes,
-            "_F32": round_f32,
+            "_F32": semantics.HELPERS["_F32"],
             "_RD": memory.read_int,
             "_WR": memory.write_int,
             "_RF": memory.read_float,
@@ -1072,7 +952,7 @@ class JitEngine:
                     namespace[name] = machine.image.global_addresses[payload]
                 else:  # builtin
                     namespace[name] = machine._builtins[payload]
-            exec_globals: Dict[str, object] = {}
+            exec_globals: Dict[str, object] = dict(semantics.HELPERS)
             exec(compiled.module_code, exec_globals)
             body = exec_globals["_bind"](namespace)
             self._meta_by_code[body.__code__] = compiled.meta

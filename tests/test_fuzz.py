@@ -18,8 +18,10 @@ from repro.fuzz import (
     reduce_program,
     run_campaign,
 )
-from repro.vm.decode import Decoder, _U64
+from repro.ir import instructions as ir
+from repro.vm.decode import Decoder
 from repro.vm.interpreter import Machine
+from repro.vm.semantics import U64
 
 #: Small programs so oracle runs (and ddmin's many re-runs) stay fast.
 SMALL = GenConfig(
@@ -148,19 +150,24 @@ class TestReducer:
         assert "alpha" in reduced
 
 
-def _buggy_decode_elemptr(self, inst, function, units):
+_decode_value = Decoder._decode_value
+
+
+def _buggy_decode_value(self, inst, function, units):
     """Deliberately wrong fast-path elemptr: index 3 lands on index 2.
 
     Test-only mutation — the kind of off-by-one a predecoded addressing
     optimization could plausibly introduce.
     """
+    if not isinstance(inst, ir.ElemPtr):
+        return _decode_value(self, inst, function, units)
     element_size = inst.element_type.size()
 
     def compute(base, index):
         index = int(index)
         if index == 3:
             index = 2
-        return (int(base) + index * element_size) & _U64
+        return (int(base) + index * element_size) & U64
 
     return self._binary_step(inst, units, compute)
 
@@ -172,9 +179,7 @@ class TestInjectedDispatchBug:
     CATCHING_SEED = 12
 
     def test_bug_is_caught_and_reduced(self, monkeypatch):
-        monkeypatch.setattr(
-            Decoder, "_decode_elemptr", _buggy_decode_elemptr
-        )
+        monkeypatch.setattr(Decoder, "_decode_value", _buggy_decode_value)
         source = generate_program(self.CATCHING_SEED, SMALL)
         verdict = check_program(source, oracles=("dispatch",))
         assert not verdict.ok
@@ -228,9 +233,7 @@ class TestCampaign:
         inherit the monkeypatch via fork, reduction runs in the parent
         either way.
         """
-        monkeypatch.setattr(
-            Decoder, "_decode_elemptr", _buggy_decode_elemptr
-        )
+        monkeypatch.setattr(Decoder, "_decode_value", _buggy_decode_value)
         summaries = {}
         for jobs in (1, 4):
             corpus = tmp_path / f"corpus{jobs}"
@@ -290,9 +293,7 @@ class TestCampaign:
         assert snapshot["gauges"].get("fuzz_programs_per_sec", 0) > 0
 
     def test_finding_written_to_corpus(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(
-            Decoder, "_decode_elemptr", _buggy_decode_elemptr
-        )
+        monkeypatch.setattr(Decoder, "_decode_value", _buggy_decode_value)
         corpus = tmp_path / "corpus"
         summary = run_campaign(
             CampaignConfig(

@@ -13,8 +13,8 @@ from repro.minic.lexer import tokenize
 from repro.minic.tokens import TokenKind
 from repro.rng import DeterministicEntropy, xorshift64_step
 from repro.vm import Machine
-from repro.vm.interpreter import _apply_binop, _wrap_int
 from repro.vm.memory import DATA_BASE, Memory
+from repro.vm.semantics import apply_binop, wrap_int
 
 
 # -- integer semantics ---------------------------------------------------------------
@@ -25,19 +25,19 @@ big_ints = st.integers(min_value=-(2**70), max_value=2**70)
 
 @given(big_ints, int_types)
 def test_wrap_int_in_range(value, ctype):
-    wrapped = _wrap_int(value, ctype)
+    wrapped = wrap_int(value, ctype)
     assert ctype.min_value() <= wrapped <= ctype.max_value()
 
 
 @given(big_ints, int_types)
 def test_wrap_int_idempotent(value, ctype):
-    once = _wrap_int(value, ctype)
-    assert _wrap_int(once, ctype) == once
+    once = wrap_int(value, ctype)
+    assert wrap_int(once, ctype) == once
 
 
 @given(st.integers(-(2**31), 2**31 - 1), st.integers(-(2**31), 2**31 - 1))
 def test_add_matches_c_semantics(a, b):
-    result = _apply_binop("add", a, b, ct.INT)
+    result = apply_binop("add", a, b, ct.INT)
     expected = (a + b) & 0xFFFFFFFF
     if expected >= 2**31:
         expected -= 2**32
@@ -46,8 +46,8 @@ def test_add_matches_c_semantics(a, b):
 
 @given(st.integers(-(2**31), 2**31 - 1), st.integers(1, 2**31 - 1))
 def test_sdiv_srem_identity(a, b):
-    q = _apply_binop("sdiv", a, b, ct.INT)
-    r = _apply_binop("srem", a, b, ct.INT)
+    q = apply_binop("sdiv", a, b, ct.INT)
+    r = apply_binop("srem", a, b, ct.INT)
     assert q * b + r == a
     assert abs(r) < b
 

@@ -368,10 +368,14 @@ class TestServeLimits:
 class TestServePoolFailure:
     """A pool whose ``submit`` raises (a worker died and broke the pool)
     must answer ``internal`` with ``retry_after`` and free its in-flight
-    slot, or the server drifts into permanent ``overloaded``."""
+    slot, or the server drifts into permanent ``overloaded``; and the
+    server must replace the broken pool, or every later cold request
+    fails the same way."""
 
-    def test_submit_failure_frees_inflight_slot(self):
+    def test_submit_failure_frees_inflight_slot(self, monkeypatch):
         from concurrent.futures.process import BrokenProcessPool
+
+        from repro.serve import server as server_module
 
         class BrokenPool:
             def submit(self, *args, **kwargs):
@@ -380,6 +384,10 @@ class TestServePoolFailure:
             def shutdown(self, *args, **kwargs):
                 pass
 
+        # Every rebuilt pool is broken too, so each request fails.
+        monkeypatch.setattr(
+            server_module, "ProcessPoolExecutor", lambda **kwargs: BrokenPool()
+        )
         thread = ServerThread(
             ServeConfig(workers=1, max_inflight=1, retry_after=0.05)
         )
@@ -393,6 +401,23 @@ class TestServePoolFailure:
             stats = c.stats()
             assert stats["inflight"] == 0
             assert stats["rejections_total"] == 0
+
+    def test_killed_worker_pool_is_rebuilt(self):
+        import os
+        import signal
+
+        config = ServeConfig(workers=1, max_inflight=1, retry_after=0.05)
+        source = "int main() { return 7; }  /* cold after a worker kill */"
+        with ServerThread(config) as thread, connect(*thread.address) as c:
+            (pid,) = list(thread.server._pool._processes)
+            os.kill(pid, signal.SIGKILL)
+            failed = c.request_raw({"op": "compile", "source": source})
+            assert failed["error"]["code"] == "internal"
+            assert failed["error"]["retry_after"] == 0.05
+            time.sleep(failed["error"]["retry_after"])
+            retried = c.request_raw({"op": "compile", "source": source})
+            assert retried["ok"] is True, retried
+            assert c.stats()["inflight"] == 0
 
 
 class TestWorkerCacheLRU:
